@@ -18,7 +18,6 @@ from .derive import (
     FormulaTemplate,
     derive_lucas_basis,
     derive_tribonacci_basis,
-    evaluate_template,
     swap_roles,
     template_to_ast,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "derive_lucas_basis",
     "derive_tribonacci_basis",
     "det_exact",
-    "evaluate_template",
     "fast_term",
     "fuzz",
     "load_corpus",

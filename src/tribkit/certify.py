@@ -24,9 +24,7 @@ from itertools import product
 from math import comb
 
 from .dsl import VARS, IdentityAst, Side, degree_profile
-from .sequences import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, term, term_range
-
-_FIXED_SEEDS = {"T": TRIBONACCI, "K": TRIBONACCI_LUCAS}
+from .sequences import NAMED, SeedVector, term_range
 
 
 class UnsupportedTerm(ValueError):
@@ -47,7 +45,6 @@ class Certificate:
     verdict: str  # "verified" | "refuted"
     degrees: dict[str, tuple[int, ...]]
     windows: dict[str, int]
-    window_base: dict[str, int]
     seed_degree: int
     evaluations: int
     counterexample: Counterexample | None = None
@@ -57,7 +54,6 @@ class Certificate:
             "verdict": self.verdict,
             "degrees": {v: list(d) for v, d in self.degrees.items()},
             "windows": self.windows,
-            "window_base": self.window_base,
             "seed_degree": self.seed_degree,
             "seed_grid": f"{{0..{self.seed_degree}}}^3",
             "evaluations": self.evaluations,
@@ -107,11 +103,9 @@ class _Tables:
 
     def __init__(self, lo: int, hi: int, w_seed: SeedVector):
         self.lo = lo
-        self.vals = {
-            "W": term_range(w_seed, lo, hi),
-            "T": term_range(TRIBONACCI, lo, hi),
-            "K": term_range(TRIBONACCI_LUCAS, lo, hi),
-        }
+        self.vals = {"W": term_range(w_seed, lo, hi)}
+        for sym, seed in NAMED.items():
+            self.vals[sym] = term_range(seed, lo, hi)
 
     def eval_side(self, side: Side, r: int, s: int) -> int:
         total = 0
@@ -142,7 +136,6 @@ def certify(ast: IdentityAst) -> Certificate:
     cert_meta = dict(
         degrees={v: tuple(sorted(profile.degrees[v])) for v in VARS},
         windows=windows,
-        window_base={v: 0 for v in VARS},
         seed_degree=profile.w_degree,
     )
     if not diff:
@@ -182,18 +175,6 @@ class FuzzReport:
         return self.counterexample is None
 
 
-def _eval_direct(side: Side, seed: SeedVector, r: int, s: int) -> int:
-    total = 0
-    for mono, coeff in side:
-        v = coeff
-        for (sym, vs, off), e in mono:
-            idx = off + (r if "r" in vs else 0) + (s if "s" in vs else 0)
-            val = term(seed if sym == "W" else _FIXED_SEEDS[sym], idx)
-            v *= val if e == 1 else val**e
-        total += v
-    return total
-
-
 def fuzz(ast: IdentityAst, trials: int, rng_seed: int) -> FuzzReport:
     """Randomized spot checks; absolute indices and constants are allowed."""
     rng = random.Random(rng_seed)
@@ -201,8 +182,10 @@ def fuzz(ast: IdentityAst, trials: int, rng_seed: int) -> FuzzReport:
         seed = SeedVector(*(rng.randint(-1000, 1000) for _ in range(3)))
         r = rng.randint(-60, 60)
         s = rng.randint(-60, 60)
-        lhs = _eval_direct(ast.lhs, seed, r, s)
-        rhs = _eval_direct(ast.rhs, seed, r, s)
+        point = {"r": range(r, r + 1), "s": range(s, s + 1)}
+        tables = _Tables(*_index_bounds(ast.monomials(), point), seed)
+        lhs = tables.eval_side(ast.lhs, r, s)
+        rhs = tables.eval_side(ast.rhs, r, s)
         if lhs != rhs:
             return FuzzReport(
                 trials=trials,

@@ -16,7 +16,7 @@ from .derive import (
     derive_tribonacci_basis,
     template_to_ast,
 )
-from .sequences import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, term, term_range
+from .sequences import NAMED, SeedVector, term, term_range
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -24,9 +24,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
-SCHEMA_VERSION = 1
-
-_NAMED_SEEDS = {"T": TRIBONACCI, "K": TRIBONACCI_LUCAS}
+SCHEMA_VERSION = 2
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -45,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="print exact sequence values")
     group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seq", choices=("T", "K"), help="named sequence")
+    group.add_argument("--seq", choices=tuple(NAMED), help="named sequence")
     group.add_argument("--seed", help="custom seed w0,w1,w2")
     which = p_eval.add_mutually_exclusive_group(required=True)
     which.add_argument("--n", type=int, help="single index")
@@ -53,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fast", action="store_true", help="use doubling evaluation")
 
     p_derive = sub.add_parser("derive", help="derive an addition formula")
-    p_derive.add_argument("--basis", choices=("T", "K"), required=True)
+    p_derive.add_argument("--basis", choices=tuple(NAMED), required=True)
     p_derive.add_argument("--offsets", required=True, metavar="O1,O2,O3")
     p_derive.add_argument("--json", action="store_true")
 
@@ -82,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    seed = _NAMED_SEEDS[args.seq] if args.seq else SeedVector(*_parse_ints(args.seed, "--seed"))
+    seed = NAMED[args.seq] if args.seq else SeedVector(*_parse_ints(args.seed, "--seed"))
     if args.n is not None:
         indices = [args.n]
     else:
@@ -90,7 +88,9 @@ def _cmd_eval(args) -> int:
         try:
             indices = list(range(int(lo), int(hi) + 1))
         except ValueError:
-            print(f"bad --range {args.range_!r}, expected LO..HI", file=sys.stderr)
+            indices = []
+        if not indices:
+            print(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI", file=sys.stderr)
             return EXIT_USAGE
     if args.fast:
         values = [fasteval.fast_term(seed, n) for n in indices]

@@ -5,7 +5,10 @@ terms, each multiplied by an integer combination of shifted Tribonacci (T)
 or Tribonacci-Lucas (K) values.  The derivation solves the 3x3 anchor
 system obtained by specializing s to the three values that collapse the
 unknown coefficients, then rewrites all basis shifts into a fixed canonical
-basis and clears denominators.
+basis and clears denominators.  The coordinates of B(s+k) over the
+canonical basis B(s+j0), B(s+j0+1), B(s+j0+2) are
+``sequences.basis_decomposition(k - j0)``, since B, like every sequence
+obeying the recurrence, is fixed by three consecutive values.
 
 Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 {K(s-2), K(s-1), K(s)} for the K basis.
@@ -19,7 +22,7 @@ from math import gcd, lcm
 
 from . import dsl
 from .linalg import SingularSystem, solve_exact
-from .sequences import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, term
+from .sequences import NAMED, basis_decomposition, term
 
 #: Index of the first canonical basis element relative to s, per basis.
 CANONICAL_BASE = {"T": -1, "K": -2}
@@ -27,8 +30,6 @@ CANONICAL_BASE = {"T": -1, "K": -2}
 #: Anchor specialization shift: T anchors solve at s = offset, K anchors at
 #: s = offset - 1 (the K Casorati diagonal K(-1) = -1 is nonzero, T(0) is 0).
 _ANCHOR_SHIFT = {"T": 0, "K": 1}
-
-_BASIS_SEED = {"T": TRIBONACCI, "K": TRIBONACCI_LUCAS}
 
 
 class DegenerateOffsets(ValueError):
@@ -49,35 +50,12 @@ class FormulaTemplate:
     coeffs: tuple[tuple[int, int, int], ...]
     denominator: int
 
-    def coeff_fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The coefficient table of W(r+s) itself (scaled by 1/denominator)."""
-        return tuple(
-            tuple(Fraction(c, self.denominator) for c in row) for row in self.coeffs
-        )
-
-
-def _shift_coords(k: int, base: int) -> tuple[int, int, int]:
-    """Coordinates of X(s+k) in the basis X(s+base), X(s+base+1), X(s+base+2).
-
-    Integer in both directions because the recurrence has leading and
-    trailing coefficients of absolute value 1.
-    """
-    lo = base
-    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # shifts lo, lo+1, lo+2
-    while k > lo + 2:
-        rows = [rows[1], rows[2], tuple(a + b + c for a, b, c in zip(*rows))]
-        lo += 1
-    while k < lo:
-        rows = [tuple(c - b - a for a, b, c in zip(*rows)), rows[0], rows[1]]
-        lo -= 1
-    return rows[k - lo]
-
 
 def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
     if len(set(offsets)) != 3:
         raise ValueError(f"offsets must be pairwise distinct, got {offsets}")
     offsets = tuple(sorted(offsets))
-    seed = _BASIS_SEED[basis]
+    seed = NAMED[basis]
     delta = _ANCHOR_SHIFT[basis]
     base = CANONICAL_BASE[basis]
     # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j] - delta)
@@ -97,7 +75,7 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
     table = [[Fraction(0)] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
-            coords = _shift_coords(-offsets[j] - delta, base)
+            coords = basis_decomposition(-offsets[j] - delta - base)
             for col in range(3):
                 table[i][col] += inv_cols[i][j] * coords[col]
     den = lcm(*[f.denominator for row in table for f in row])
@@ -119,17 +97,6 @@ def derive_tribonacci_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:
 def derive_lucas_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:
     """Addition formula with coefficients built from Tribonacci-Lucas values."""
     return _derive("K", (o1, o2, o3))
-
-
-def evaluate_template(t: FormulaTemplate, seed: SeedVector, r: int, s: int) -> int:
-    """Residual RHS - denominator * W(r+s); zero for a valid template."""
-    base = CANONICAL_BASE[t.basis]
-    bseed = _BASIS_SEED[t.basis]
-    rhs = 0
-    for i, off in enumerate(t.offsets):
-        coeff = sum(c * term(bseed, s + base + j) for j, c in enumerate(t.coeffs[i]))
-        rhs += coeff * term(seed, r + off)
-    return rhs - t.denominator * term(seed, r + s)
 
 
 def template_to_ast(t: FormulaTemplate) -> dsl.IdentityAst:

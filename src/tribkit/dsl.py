@@ -114,7 +114,6 @@ class DegreeProfile:
 
     degrees: dict[str, frozenset[int]]
     w_degree: int
-    span: dict[str, tuple[int, int] | None]
 
 
 def _monomial_degree(mono: Monomial, var: str) -> int:
@@ -124,16 +123,13 @@ def _monomial_degree(mono: Monomial, var: str) -> int:
 def degree_profile(ast: IdentityAst) -> DegreeProfile:
     monos = [m for m, _ in ast.monomials()]
     degrees = {}
-    span: dict[str, tuple[int, int] | None] = {}
     for v in VARS:
         degrees[v] = frozenset(_monomial_degree(m, v) for m in monos) or frozenset({0})
-        offs = [off for m in monos for (sym, vs, off), e in m if v in vs]
-        span[v] = (min(offs), max(offs)) if offs else None
     w_deg = max(
         (sum(e for (sym, vs, off), e in m if sym == "W") for m in monos),
         default=0,
     )
-    return DegreeProfile(degrees=degrees, w_degree=w_deg, span=span)
+    return DegreeProfile(degrees=degrees, w_degree=w_deg)
 
 
 # ---------------------------------------------------------------------------

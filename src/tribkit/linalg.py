@@ -1,10 +1,12 @@
 """Exact rational linear algebra for small dense systems.
 
 Rationals are ``fractions.Fraction`` (normalized by construction: positive
-denominator, gcd 1).  Matrices are plain sequences of rows.  Elimination is
-fraction-free (Bareiss): cross-multiplication with exact division by the
-previous pivot, pivoting on the first nonzero entry per column.  Systems
-here are tiny (n <= 9), so no attention is paid to asymptotics.
+denominator, gcd 1).  Matrices are plain sequences of rows.  ``det_exact``
+and ``solve_exact`` share one fraction-free (Bareiss) forward elimination:
+cross-multiplication with exact division by the previous pivot, pivoting on
+the first nonzero entry per column.  A column with no nonzero pivot raises
+SingularSystem, which ``det_exact`` reports as determinant 0.  Systems here
+are tiny (n <= 9), so no attention is paid to asymptotics.
 """
 
 from __future__ import annotations
@@ -25,15 +27,17 @@ def _to_rows(a: Sequence[Sequence]) -> list[list[Fraction]]:
     return rows
 
 
-def det_exact(a: Sequence[Sequence]) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    m = _to_rows(a)
+def _eliminate(m: list[list[Fraction]]) -> int:
+    """Eliminate the square block of the n rows of m in place.
+
+    Columns past the block (a right-hand side) ride along.  Returns the sign
+    of the row swaps: det = sign * m[n-1][n-1] afterwards.
+    """
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
+    width = len(m[0])
     sign = 1
     prev = Fraction(1)
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -41,12 +45,25 @@ def det_exact(a: Sequence[Sequence]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                raise SingularSystem(f"zero pivot in column {k}")
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
             m[i][k] = Fraction(0)
         prev = m[k][k]
+    return sign
+
+
+def det_exact(a: Sequence[Sequence]) -> Fraction:
+    """Exact determinant via fraction-free elimination."""
+    m = _to_rows(a)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    try:
+        sign = _eliminate(m)
+    except SingularSystem:
+        return Fraction(0)
     return sign * m[n - 1][n - 1]
 
 
@@ -61,20 +78,7 @@ def solve_exact(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
         raise ValueError("solve_exact requires square A and matching b")
     for i, x in enumerate(b):
         m[i].append(Fraction(x))
-    prev = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise SingularSystem(f"zero pivot in column {k}")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
+    _eliminate(m)
     x = [Fraction(0)] * n
     for i in reversed(range(n)):
         acc = m[i][n]

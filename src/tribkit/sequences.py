@@ -35,6 +35,9 @@ TRIBONACCI = SeedVector(0, 1, 1)
 #: The Tribonacci-Lucas sequence K: 3, 1, 3, 7, 11, 21, ...
 TRIBONACCI_LUCAS = SeedVector(3, 1, 3)
 
+#: The named sequences the DSL and the CLI refer to by symbol.
+NAMED = {"T": TRIBONACCI, "K": TRIBONACCI_LUCAS}
+
 
 def term(seed: SeedVector, n: int) -> int:
     """Return W(n) for the sequence with the given seed window.

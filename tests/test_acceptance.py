@@ -29,6 +29,7 @@ from tribkit import (
 from tribkit.dsl import ParseError
 from tribkit.fasteval import mul_count, reset_mul_count
 
+from reference import reevaluate
 from table1 import K_TABLE, T_TABLE
 from test_derive import fraction_table, template_fraction_table
 
@@ -86,8 +87,8 @@ def test_c3_mutation_killing(criterion):
                 assert cert.verdict == "refuted", entry_id
                 c = cert.counterexample
                 seed = SeedVector(*c.seed)
-                assert _reevaluate(mutant.lhs, seed, c.r, c.s) == c.lhs
-                assert _reevaluate(mutant.rhs, seed, c.r, c.s) == c.rhs
+                assert reevaluate(mutant.lhs, seed, c.r, c.s) == c.lhs
+                assert reevaluate(mutant.rhs, seed, c.r, c.s) == c.rhs
                 assert c.lhs != c.rhs
         # at least 95% kill rate over the whole corpus
         killed = total = 0
@@ -98,20 +99,6 @@ def test_c3_mutation_killing(criterion):
         assert killed / total >= 0.95
 
     criterion(3, "single-coefficient mutation killing", body)
-
-
-def _reevaluate(side, seed, r, s):
-    """Evaluate one identity side from scratch with the sequence engine."""
-    env = {"r": r, "s": s}
-    total = 0
-    for monomial, coeff in side:
-        value = coeff
-        for (sym, variables, offset), exponent in monomial:
-            index = sum(env[v] for v in variables) + offset
-            named = {"T": TRIBONACCI, "K": TRIBONACCI_LUCAS, "W": seed}
-            value *= term(named[sym], index) ** exponent
-        total += value
-    return total
 
 
 def test_c4_derivation_regression(criterion):

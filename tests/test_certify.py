@@ -13,7 +13,9 @@ from tribkit import (
     term,
     window_bound,
 )
-from tribkit.certify import _Tables, _eval_direct
+from tribkit.certify import _Tables
+
+from reference import reevaluate
 
 THM4 = (
     "W(r)^3 - 4*W(r-1)^3 - 9*W(r-2)^3 - 34*W(r-3)^3 + 24*W(r-4)^3 - 2*W(r-5)^3"
@@ -25,7 +27,7 @@ def brute_force_truth(ast, rng_seed=7):
     rng = random.Random(rng_seed)
     seeds = [SeedVector(*(rng.randint(-50, 50) for _ in range(3))) for _ in range(20)]
     return all(
-        _eval_direct(ast.diff(), seed, r, 0) == 0
+        reevaluate(ast.diff(), seed, r, 0) == 0
         for seed in seeds
         for r in range(-30, 31)
     )
@@ -95,6 +97,10 @@ def test_fuzz_finds_mutant_failure_quickly():
     bad = parse("253*W(r)^2 - 927*W(r-1)^2 + 2884*W(r-4)^2 - W(r-17)^2 = 0")
     report = fuzz(bad, 100, 42)
     assert not report.ok and report.passes < 5
+    c = report.counterexample
+    seed = SeedVector(*c.seed)
+    assert reevaluate(bad.lhs, seed, c.r, c.s) == c.lhs
+    assert reevaluate(bad.rhs, seed, c.r, c.s) == c.rhs
 
 
 def test_fuzz_zero_trials():
@@ -121,8 +127,8 @@ def test_refuted_counterexamples_reproduce():
             assert cert.verdict == "refuted"
             c = cert.counterexample
             seed = SeedVector(*c.seed)
-            assert _eval_direct(mutant.lhs, seed, c.r, c.s) == c.lhs
-            assert _eval_direct(mutant.rhs, seed, c.r, c.s) == c.rhs
+            assert reevaluate(mutant.lhs, seed, c.r, c.s) == c.lhs
+            assert reevaluate(mutant.rhs, seed, c.r, c.s) == c.rhs
             assert c.lhs != c.rhs
 
 

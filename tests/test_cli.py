@@ -48,6 +48,11 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--seq", "T", "--range", "oops")[0] == EXIT_USAGE
 
 
+def test_eval_empty_range(capsys):
+    code, out, err = run(capsys, "eval", "--seq", "T", "--range", "5..1")
+    assert code == EXIT_USAGE and out == "" and "--range" in err
+
+
 def test_derive_familiar_formula(capsys):
     code, out, _ = run(capsys, "derive", "--basis", "T", "--offsets", "-1,0,1")
     assert code == EXIT_OK
@@ -60,7 +65,7 @@ def test_derive_lucas_json(capsys):
     code, out, _ = run(capsys, "derive", "--basis", "K", "--offsets", "-1,0,1", "--json")
     assert code == EXIT_OK
     report = json.loads(out.splitlines()[-1])
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["denominator"] == 22
     assert report["coefficients"] == [[5, 1, 2], [1, -2, 7], [2, 7, 3]]
 
@@ -88,8 +93,9 @@ def test_certify_json_report(capsys):
     code, out, _ = run(capsys, "certify", "--json", "W(r) = 2*W(r-1) - W(r-4)")
     report = json.loads(out)
     assert code == EXIT_OK
-    assert report["schema"] == 1 and report["verdict"] == "verified"
+    assert report["schema"] == 2 and report["verdict"] == "verified"
     assert report["windows"] == {"r": 3, "s": 1}
+    assert "window_base" not in report
 
 
 def test_certify_parse_error(capsys):

@@ -8,17 +8,19 @@ from tribkit import (
     TRIBONACCI_LUCAS,
     DegenerateOffsets,
     SeedVector,
+    basis_decomposition,
     certify,
     derive_lucas_basis,
     derive_tribonacci_basis,
-    evaluate_template,
     parse,
     render,
     swap_roles,
     template_to_ast,
     term,
 )
-from tribkit.derive import CANONICAL_BASE, _exchange_roles, _shift_coords
+from tribkit.derive import CANONICAL_BASE, _exchange_roles
+
+from reference import reevaluate
 
 UNIT_SEEDS = [SeedVector(1, 0, 0), SeedVector(0, 1, 0), SeedVector(0, 0, 1)]
 
@@ -35,15 +37,15 @@ def fraction_table(ast, basis):
         (wsym, wvars, o), _ = mono[1]
         assert (bsym, bvars) == (basis, ("s",)) and (wsym, wvars) == ("W", ("r",))
         row = table.setdefault(o, [Fraction(0)] * 3)
-        for j, c in enumerate(_shift_coords(k, base)):
+        for j, c in enumerate(basis_decomposition(k - base)):
             row[j] += Fraction(coeff * c, den)
     return table
 
 
 def template_fraction_table(t):
     return {
-        o: list(row)
-        for o, row in zip(t.offsets, t.coeff_fractions())
+        o: [Fraction(c, t.denominator) for c in row]
+        for o, row in zip(t.offsets, t.coeffs)
     }
 
 
@@ -110,12 +112,17 @@ def test_duplicate_offsets_rejected():
         derive_tribonacci_basis(0, 0, 1)
 
 
+def residual(t, seed, r, s):
+    """RHS - denominator * W(r+s) of a template, by the reference evaluator."""
+    return -reevaluate(template_to_ast(t).diff(), seed, r, s)
+
+
 def test_template_residuals_vanish():
     t5 = derive_tribonacci_basis(-4, 0, 1)
-    assert evaluate_template(t5, SeedVector(0, 1, 1), 10, 7) == 0
-    assert evaluate_template(t5, SeedVector(3, 1, 3), -5, -3) == 0
+    assert residual(t5, SeedVector(0, 1, 1), 10, 7) == 0
+    assert residual(t5, SeedVector(3, 1, 3), -5, -3) == 0
     t22 = derive_lucas_basis(-1, 0, 1)
-    assert evaluate_template(t22, SeedVector(1, 2, 3), 3, 2) == 0
+    assert residual(t22, SeedVector(1, 2, 3), 3, 2) == 0
 
 
 def test_corrupted_coefficient_detected():
@@ -127,7 +134,7 @@ def test_corrupted_coefficient_detected():
         denominator=t.denominator,
     )
     assert any(
-        evaluate_template(bad, SeedVector(1, 1, 1), r, s) != 0
+        residual(bad, SeedVector(1, 1, 1), r, s) != 0
         for r in range(3)
         for s in range(3)
     )
@@ -169,7 +176,7 @@ def _values(seed, lo, hi):
 
 
 def _residual_cached(t, wvals, bvals, r, s):
-    # same computation as evaluate_template, against precomputed tables
+    # same computation as residual, against precomputed tables
     base = CANONICAL_BASE[t.basis]
     rhs = 0
     for i, off in enumerate(t.offsets):
@@ -195,7 +202,7 @@ def test_all_offset_triples_in_range():
                 continue
             # spot-check the cached evaluator against the real one once
             assert _residual_cached(t, wtabs[0], bvals[t.basis], 2, -3) == (
-                evaluate_template(t, UNIT_SEEDS[0], 2, -3)
+                residual(t, UNIT_SEEDS[0], 2, -3)
             )
             for wvals in wtabs:
                 for r, s in grid:
