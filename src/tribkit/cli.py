@@ -245,12 +245,24 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _shield_dashed_identity(argv: list[str]) -> list[str]:
+    """Move a certify identity that starts with "-" (``-W(r)=-W(r)``) behind
+    "--": argparse takes a dash-led token without a space for an option."""
+    if argv[:1] != ["certify"] or "--" in argv:
+        return argv
+    dashed = [t for t in argv[1:] if t[:1] == "-" and t[:2] != "--" and t != "-h"]
+    if not dashed:
+        return argv
+    return [t for t in argv if t not in dashed] + ["--", *dashed]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_dashed_values(list(argv)))
+        argv = _shield_dashed_identity(_join_dashed_values(list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -1,22 +1,39 @@
 """Logarithmic-time term computation and a cross-checked benchmark harness.
 
-The doubling step keeps the Tribonacci window (T(n-1), T(n), T(n+1)) and
-maps index n to 2n with the addition formula
+Everything rests on the addition formula, which holds for all integers r, s:
 
-    T(r+s) = T(s-1)*T(r-1) + (T(s-1) + T(s-2))*T(r) + T(s)*T(r+1)
+    W(r+s) = T(s-1)*W(r-1) + (T(s-1) + T(s-2))*W(r) + T(s)*W(r+1)
 
-specialized to (r, s) in {(n-1, n), (n, n), (n, n+1)}.  The formula holds
-for all integers, so negative targets are reached by the same doubling with
-backward single steps.  General seeds are combined at the end via the basis
-decomposition W(n) = w0*T(n-2) + w1*(T(n-2) + T(n-3)) + w2*T(n-1).
+Doubling.  With (p, q, u) = (T(n-1), T(n), T(n+1)), the formula at r = s
+(and its neighbours) gives
 
-Each doubling performs 9 counted big-integer multiplications and each
-single step none, so the total count is at most 9*log2(|n|) + O(1).
+    T(2n)   = p^2 + 2qu - q^2
+    T(2n+1) = q^2 + u^2 + 2pq
+    T(2n+2) = q^2 + u^2 + 2qu + 2pu
+    T(2n-1) = T(2n+2) - T(2n+1) - T(2n)
+
+three squares and three products per doubling.  A single step forward or
+backward after a doubling costs no multiplication, so negative indices use
+the same loop.
+
+Finish.  ``fast_term`` doubles only up to m = n // 2 and takes k = n - m.
+W(k-1), W(k), W(k+1) come from T(m-4..m+1) through the basis decomposition
+W(j) = w0*T(j-2) + w1*(T(j-2) + T(j-3)) + w2*T(j-1), which only scales terms
+by seed entries; the formula at r = k, s = m then needs three half-size
+products instead of a full-size doubling.
+
+``mul_count`` counts the multiplications of two terms: 6 per doubling and 3
+in the finish, so fast_term(seed, 2**k) performs 6k + 3.  Seed scalings are
+linear in the operand size and not counted.
+
+``matrix_power_term`` is the independent oracle: it computes x^n modulo the
+characteristic polynomial x^3 - x^2 - x - 1 and never uses the addition
+formula.
 """
 
 from __future__ import annotations
 
-import decimal
+import math
 import time
 from dataclasses import dataclass
 
@@ -41,14 +58,17 @@ def _mul(a: int, b: int) -> int:
     return a * b
 
 
-def _double(p: int, q: int, u: int) -> tuple[int, int, int]:
-    """Map (T(n-1), T(n), T(n+1)) to (T(2n-1), T(2n), T(2n+1))."""
-    t2 = u - q - p  # T(n-2)
-    return (
-        _mul(p, t2) + _mul(p + t2, p) + _mul(q, q),
-        _mul(p, p) + _mul(p + t2, q) + _mul(q, u),
-        _mul(q, p) + _mul(q + p, q) + _mul(u, u),
-    )
+def _double(p: int, q: int, u: int) -> tuple[int, int, int, int]:
+    """Map (T(n-1), T(n), T(n+1)) to (T(2n-1), T(2n), T(2n+1), T(2n+2)).
+
+    Three squares and three products of window entries.
+    """
+    qq, uu = _mul(q, q), _mul(u, u)
+    qu2 = 2 * _mul(q, u)
+    even = _mul(p, p) + qu2 - qq  # T(2n)
+    odd = qq + uu + 2 * _mul(p, q)  # T(2n+1)
+    next_even = qq + uu + qu2 + 2 * _mul(p, u)  # T(2n+2)
+    return next_even - odd - even, even, odd, next_even
 
 
 def _trib_window(n: int) -> tuple[int, int, int]:
@@ -58,59 +78,81 @@ def _trib_window(n: int) -> tuple[int, int, int]:
         return p, q, u
     forward = n > 0
     for bit in bin(abs(n))[2:]:
-        p, q, u = _double(p, q, u)
-        if bit == "1":
-            if forward:
-                p, q, u = q, u, p + q + u
-            else:
-                p, q, u = u - q - p, p, q
+        a, b, c, d = _double(p, q, u)  # T(2j-1), T(2j), T(2j+1), T(2j+2)
+        if bit == "0":
+            p, q, u = a, b, c
+        elif forward:
+            p, q, u = b, c, d
+        else:
+            p, q, u = c - b - a, a, b
     return p, q, u
 
 
 def fast_term(seed: SeedVector, n: int) -> int:
-    """W(n) by binary doubling; exact, O(log |n|) multiplications."""
-    p, q, u = _trib_window(n)
-    t2 = u - q - p  # T(n-2)
-    t3 = q - p - t2  # T(n-3)
-    return _mul(seed.w0, t2) + _mul(seed.w1, t2 + t3) + _mul(seed.w2, p)
+    """W(n) exactly, in O(log |n|) multiplications.
 
-
-_COMPANION = ((1, 1, 1), (1, 0, 0), (0, 1, 0))
-# Exact integer inverse; the companion determinant is 1.
-_COMPANION_INV = ((0, 1, 0), (0, 0, 1), (1, -1, -1))
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+    The T window is doubled up to m = n // 2 only; the addition formula at
+    r = k = n - m, s = m then finishes with three half-size products.
+    """
+    m = n // 2
+    p, q, u = _trib_window(m)
+    t = [p, q, u]
+    for _ in range(3):
+        t.insert(0, t[2] - t[1] - t[0])
+    # t[i] = T(m-4+i).  W(k-1), W(k), W(k+1) for k = n - m by the basis
+    # decomposition W(j) = (w0+w1)*T(j-2) + w1*T(j-3) + w2*T(j-1), where
+    # T(j-3) = t[j-m+1]: seed scalings only, linear in the operand size.
+    w0, w1, w2 = seed
+    o = n - 2 * m  # k - m, 0 or 1
+    w = [(w0 + w1) * t[i + 1] + w1 * t[i] + w2 * t[i + 2] for i in (o, o + 1, o + 2)]
+    return _mul(p, w[0]) + _mul(p + t[2], w[1]) + _mul(q, w[2])
 
 
 def matrix_power_term(seed: SeedVector, n: int) -> int:
-    """W(n) via exponentiation-by-squaring of the companion matrix."""
-    base = _COMPANION if n >= 0 else _COMPANION_INV
-    e = abs(n)
-    acc = _IDENTITY
-    sq = base
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, sq)
-        sq = _mat_mul(sq, sq)
-        e >>= 1
-    # acc maps (W2, W1, W0) to (W(n+2), W(n+1), W(n)).
-    return sum(c * w for c, w in zip(acc[2], (seed.w2, seed.w1, seed.w0)))
+    """W(n) from x^n mod x^3 - x^2 - x - 1 (Cayley-Hamilton; Fiduccia 1985).
+
+    The shift operator satisfies the characteristic polynomial on every
+    sequence, so x^n = c0 + c1*x + c2*x^2 gives W(n) = c0*w0 + c1*w1 + c2*w2.
+    Negative n uses x^-1 = x^2 - x - 1.  Independent of the addition formula.
+    """
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(abs(n))[2:]:
+        # square, then reduce x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
+        d3 = 2 * c1 * c2
+        d4 = c2 * c2
+        c0, c1, c2 = (
+            c0 * c0 + d3 + d4,
+            2 * c0 * c1 + d3 + 2 * d4,
+            2 * c0 * c2 + c1 * c1 + d3 + 2 * d4,
+        )
+        if bit == "1":
+            if n > 0:  # times x
+                c0, c1, c2 = c2, c0 + c2, c1 + c2
+            else:  # times x^-1
+                c0, c1, c2 = c1 - c0, c2 - c0, c0
+    return c0 * seed.w0 + c1 * seed.w1 + c2 * seed.w2
+
+
+_LOG10_2 = math.log10(2)
 
 
 def digit_count(value: int) -> int:
-    """Number of decimal digits of |value|, safe for very large integers.
+    """Number of decimal digits of |value|, exact for any integer.
 
-    Goes through ``decimal`` to sidestep CPython's int-to-str digit limit.
+    Estimates the count from the bit length, then corrects it against
+    powers of ten, so it never converts the value to a string.
     """
-    if value == 0:
+    v = abs(value)
+    if v == 0:
         return 1
-    return len(decimal.Decimal(abs(value)).as_tuple().digits)
+    # exact or one short, barring float rounding, which the loops also fix
+    d = int((v.bit_length() - 1) * _LOG10_2) + 1
+    p = 10 ** (d - 1)
+    while p > v:
+        d, p = d - 1, p // 10
+    while p * 10 <= v:
+        d, p = d + 1, p * 10
+    return d
 
 
 class VerificationMismatch(RuntimeError):

@@ -98,6 +98,11 @@ def test_certify_json_report(capsys):
     assert "window_base" not in report
 
 
+def test_certify_dash_led_identity(capsys):
+    code, out, _ = run(capsys, "certify", "-2*W(r)=-W(r)-W(r)", "--json")
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "verified"
+
+
 def test_certify_parse_error(capsys):
     code, _, err = run(capsys, "certify", "W(r-3) = 2W(r) -")
     assert code == EXIT_USAGE and "position" in err

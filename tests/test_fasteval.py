@@ -15,7 +15,13 @@ from tribkit.fasteval import digit_count, mul_count, reset_mul_count
 
 from table1 import K_TABLE, T_TABLE
 
-SPECS = [TRIBONACCI, TRIBONACCI_LUCAS, SeedVector(1, 2, 3)]
+SPECS = [
+    TRIBONACCI,
+    TRIBONACCI_LUCAS,
+    SeedVector(1, 2, 3),
+    SeedVector(0, 0, 0),
+    SeedVector(10**30 - 7, -(10**30) + 3, 10**30 + 11),
+]
 
 
 def test_table1_via_doubling_and_matrix():
@@ -46,7 +52,9 @@ def test_matches_iteration_on_window():
 def test_matches_iteration_far_out():
     for seed in SPECS:
         for n in (1000, -1000, 10000, -10000):
-            assert fast_term(seed, n) == term(seed, n)
+            expected = term(seed, n)
+            assert fast_term(seed, n) == expected
+            assert matrix_power_term(seed, n) == expected
 
 
 def test_matches_matrix_power_on_random_indices():
@@ -57,14 +65,16 @@ def test_matches_matrix_power_on_random_indices():
 
 
 def test_multiplication_count_is_logarithmic():
-    # one extra doubling step per extra bit: 9 counted multiplications
+    # one extra doubling step per extra bit: 6 counted multiplications;
+    # 2**k doubles k times to 2**(k-1), then the finish takes 3 products
     counts = {}
     for k in range(10, 21):
         reset_mul_count()
         fast_term(TRIBONACCI, 2**k)
         counts[k] = mul_count()
+        assert counts[k] == 6 * k + 3
     diffs = {counts[k + 1] - counts[k] for k in range(10, 20)}
-    assert diffs == {9}
+    assert diffs == {6}
 
 
 def test_digit_count_growth():
@@ -73,6 +83,13 @@ def test_digit_count_growth():
     # floor(1e5 * log10(1.8392867...)) + 1 = 26465 where the base is the
     # dominant root of x^3 = x^2 + x + 1
     assert digit_count(fast_term(TRIBONACCI, 10**5)) == 26465
+
+
+def test_digit_count_at_powers_of_ten():
+    for k in (*range(1, 401), 10**5):
+        for sign in (1, -1):
+            assert digit_count(sign * 10**k) == k + 1
+            assert digit_count(sign * (10**k - 1)) == k
 
 
 def test_bench_cross_verifies():
