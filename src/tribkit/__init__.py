@@ -30,7 +30,6 @@ from .fasteval import (
     mul_count,
     reset_mul_count,
 )
-from .linalg import SingularSystem, det_exact, solve_exact
 from .sequences import (
     TRIBONACCI,
     TRIBONACCI_LUCAS,
@@ -50,7 +49,6 @@ __all__ = [
     "IdentityAst",
     "ParseError",
     "SeedVector",
-    "SingularSystem",
     "TRIBONACCI",
     "TRIBONACCI_LUCAS",
     "UnsupportedTerm",
@@ -61,7 +59,6 @@ __all__ = [
     "degree_profile",
     "derive_lucas_basis",
     "derive_tribonacci_basis",
-    "det_exact",
     "fast_term",
     "fuzz",
     "load_corpus",
@@ -71,7 +68,6 @@ __all__ = [
     "render",
     "reset_mul_count",
     "single_coefficient_mutants",
-    "solve_exact",
     "swap_roles",
     "template_to_ast",
     "term",

@@ -80,7 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
-    seed = NAMED[args.seq] if args.seq else SeedVector(*_parse_ints(args.seed, "--seed"))
+    if args.seq:
+        seed = NAMED[args.seq]
+    else:
+        w = _parse_ints(args.seed, "--seed")
+        if len(w) != 3:
+            print("--seed needs three comma-separated integers w0,w1,w2", file=sys.stderr)
+            return EXIT_USAGE
+        seed = SeedVector(*w)
     if args.n is not None:
         indices = [args.n]
     else:
@@ -156,7 +163,14 @@ def _certify_report(ast: dsl.IdentityAst, as_json: bool) -> int:
 
 
 def _cmd_certify(args) -> int:
-    text = open(args.file).read() if args.file else args.identity
+    text = args.identity
+    if args.file:
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except ValueError as exc:
+            print(f"cannot read --file {args.file}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         ast = dsl.parse(text)
     except dsl.ParseError as exc:
@@ -170,6 +184,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.mutate is not None and args.mutate < 1:
+        print(f"--mutate K needs K >= 1, got {args.mutate}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         entries = load_corpus(args.path)
     except (OSError, ValueError) as exc:
@@ -222,13 +239,19 @@ _COMMANDS = {
 }
 
 
-_VALUE_FLAGS = {
-    "--seq", "--seed", "--n", "--range", "--basis", "--offsets",
-    "--file", "--only", "--mutate", "--path", "--strategies",
-}
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings that take a value, in the parser and its subparsers."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.option_strings and action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
 
 
-def _join_dashed_values(argv: list[str]) -> list[str]:
+def _join_dashed_values(argv: list[str], value_flags: set[str]) -> list[str]:
     """Glue flag values that start with "-" (e.g. ``--range -5..5``) onto
     their flag so argparse does not mistake them for options."""
     out = []
@@ -236,7 +259,7 @@ def _join_dashed_values(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt and nxt.startswith("-") and nxt not in _VALUE_FLAGS:
+        if tok in value_flags and nxt and nxt.startswith("-") and nxt not in value_flags:
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -261,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _shield_dashed_identity(_join_dashed_values(list(argv)))
+        argv = _shield_dashed_identity(_join_dashed_values(list(argv), _value_flags(parser)))
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

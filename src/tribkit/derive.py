@@ -2,13 +2,16 @@
 
 A formula template expresses den * W(r+s) as a sum over three shifted W
 terms, each multiplied by an integer combination of shifted Tribonacci (T)
-or Tribonacci-Lucas (K) values.  The derivation solves the 3x3 anchor
-system obtained by specializing s to the three values that collapse the
-unknown coefficients, then rewrites all basis shifts into a fixed canonical
-basis and clears denominators.  The coordinates of B(s+k) over the
-canonical basis B(s+j0), B(s+j0+1), B(s+j0+2) are
-``sequences.basis_decomposition(k - j0)``, since B, like every sequence
-obeying the recurrence, is fixed by three consecutive values.
+or Tribonacci-Lucas (K) values.  Specializing s to three values that
+collapse the unknown coefficients gives a 3x3 integer anchor system M,
+whose entries B(n) are dot products of ``sequences.basis_decomposition(n)``
+with the basis seed.  M is inverted through its integer cofactors and
+det M, and all basis shifts are rewritten into a fixed canonical basis:
+the coordinates of B(s+k) over B(s+j0), B(s+j0+1), B(s+j0+2) are
+``basis_decomposition(k - j0)``, since B, like every sequence obeying the
+recurrence, is fixed by three consecutive values.  The integer table over
+det M is then reduced by g = gcd(det M, all entries), signed so that the
+denominator |det M| / g is positive.  det M = 0 raises DegenerateOffsets.
 
 Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 {K(s-2), K(s-1), K(s)} for the K basis.
@@ -17,12 +20,11 @@ Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import dsl
-from .linalg import SingularSystem, solve_exact
-from .sequences import NAMED, basis_decomposition, term
+from .fasteval import matrix_power_term
+from .sequences import NAMED, basis_decomposition
 
 #: Index of the first canonical basis element relative to s, per basis.
 CANONICAL_BASE = {"T": -1, "K": -2}
@@ -61,31 +63,38 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
     # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j] - delta)
     # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j.
     m = [
-        [term(seed, oi - oj - delta) for oj in offsets]
+        [matrix_power_term(seed, oi - oj - delta) for oj in offsets]
         for oi in offsets
     ]
-    try:
-        inv_cols = [solve_exact(m, [int(i == j) for j in range(3)]) for i in range(3)]
-    except SingularSystem as exc:
+    # cof[i][j] is the cofactor of M[i][j], so (M^-1)[j][i] = cof[i][j] / det.
+    cof = [
+        [
+            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    det = sum(m[0][j] * cof[0][j] for j in range(3))
+    if det == 0:
         raise DegenerateOffsets(
             f"{basis}-basis anchor system is singular for offsets {offsets}"
-        ) from exc
-    # Coefficient of W(r+offsets[i]) is sum_j inv[j][i] * B(s - offsets[j] - delta);
-    # inv_cols[i][j] = (M^-1)[j][i].  Rewrite anchors into the canonical basis.
-    table = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            coords = basis_decomposition(-offsets[j] - delta - base)
-            for col in range(3):
-                table[i][col] += inv_cols[i][j] * coords[col]
-    den = lcm(*[f.denominator for row in table for f in row])
-    ints = [[int(f * den) for f in row] for row in table]
-    g = gcd(den, *[c for row in ints for c in row])
+        )
+    # Coefficient of W(r+offsets[i]) is sum_j cof[i][j] * B(s - offsets[j] - delta)
+    # over det.  Rewrite anchors into the canonical basis.
+    coords = [basis_decomposition(-oj - delta - base) for oj in offsets]
+    table = [
+        [sum(cof[i][j] * coords[j][col] for j in range(3)) for col in range(3)]
+        for i in range(3)
+    ]
+    g = gcd(det, *[c for row in table for c in row])
+    if det < 0:
+        g = -g
     return FormulaTemplate(
         basis=basis,
         offsets=offsets,
-        coeffs=tuple(tuple(c // g for c in row) for row in ints),
-        denominator=den // g,
+        coeffs=tuple(tuple(c // g for c in row) for row in table),
+        denominator=det // g,
     )
 
 

@@ -26,9 +26,10 @@ products instead of a full-size doubling.
 in the finish, so fast_term(seed, 2**k) performs 6k + 3.  Seed scalings are
 linear in the operand size and not counted.
 
-``matrix_power_term`` is the independent oracle: it computes x^n modulo the
-characteristic polynomial x^3 - x^2 - x - 1 and never uses the addition
-formula.
+``matrix_power_term`` is the independent oracle: the dot product of the
+seed with ``sequences.basis_decomposition(n)``, the coefficients of x^n
+modulo the characteristic polynomial x^3 - x^2 - x - 1 by square-and-shift.
+It never uses the addition formula.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .sequences import TRIBONACCI, SeedVector, term
+from .sequences import TRIBONACCI, SeedVector, basis_decomposition, term
 
 _mul_count = 0
 
@@ -109,27 +110,11 @@ def fast_term(seed: SeedVector, n: int) -> int:
 
 
 def matrix_power_term(seed: SeedVector, n: int) -> int:
-    """W(n) from x^n mod x^3 - x^2 - x - 1 (Cayley-Hamilton; Fiduccia 1985).
+    """W(n) as the dot product of ``basis_decomposition(n)`` with the seed.
 
-    The shift operator satisfies the characteristic polynomial on every
-    sequence, so x^n = c0 + c1*x + c2*x^2 gives W(n) = c0*w0 + c1*w1 + c2*w2.
-    Negative n uses x^-1 = x^2 - x - 1.  Independent of the addition formula.
+    Independent of the addition formula.
     """
-    c0, c1, c2 = 1, 0, 0
-    for bit in bin(abs(n))[2:]:
-        # square, then reduce x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-        d3 = 2 * c1 * c2
-        d4 = c2 * c2
-        c0, c1, c2 = (
-            c0 * c0 + d3 + d4,
-            2 * c0 * c1 + d3 + 2 * d4,
-            2 * c0 * c2 + c1 * c1 + d3 + 2 * d4,
-        )
-        if bit == "1":
-            if n > 0:  # times x
-                c0, c1, c2 = c2, c0 + c2, c1 + c2
-            else:  # times x^-1
-                c0, c1, c2 = c1 - c0, c2 - c0, c0
+    c0, c1, c2 = basis_decomposition(n)
     return c0 * seed.w0 + c1 * seed.w1 + c2 * seed.w2
 
 

@@ -78,9 +78,26 @@ def term_range(seed: SeedVector, lo: int, hi: int) -> list[int]:
 
 
 def basis_decomposition(n: int) -> tuple[int, int, int]:
-    """Coordinates (a, b, c) with W(n) = w0*a + w1*b + w2*c for every seed.
+    """Coordinates (c0, c1, c2) with W(n) = w0*c0 + w1*c1 + w2*c2 for every seed.
 
-    In Tribonacci terms: (T(n-2), T(n-2) + T(n-3), T(n-1)).
+    They are the coefficients of x^n mod x^3 - x^2 - x - 1: the shift
+    operator satisfies the characteristic polynomial on every sequence
+    (Cayley-Hamilton; Fiduccia 1985).  Square-and-shift over the bits of
+    |n|, O(log |n|) steps; negative n shifts by x^-1 = x^2 - x - 1.
     """
-    t3, t2, t1 = term_range(TRIBONACCI, n - 3, n - 1)
-    return (t2, t2 + t3, t1)
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(abs(n))[2:]:
+        # square, then reduce x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
+        d3 = 2 * c1 * c2
+        d4 = c2 * c2
+        c0, c1, c2 = (
+            c0 * c0 + d3 + d4,
+            2 * c0 * c1 + d3 + 2 * d4,
+            2 * c0 * c2 + c1 * c1 + d3 + 2 * d4,
+        )
+        if bit == "1":
+            if n > 0:  # times x
+                c0, c1, c2 = c2, c0 + c2, c1 + c2
+            else:  # times x^-1
+                c0, c1, c2 = c1 - c0, c2 - c0, c0
+    return c0, c1, c2

@@ -23,6 +23,8 @@ def run(capsys, *argv):
 def test_eval_single(capsys):
     code, out, _ = run(capsys, "eval", "--seq", "T", "--n", "24")
     assert code == EXIT_OK and out.strip() == "755476"
+    code, out, _ = run(capsys, "eval", "--seed", "-1,2,3", "--n", "4")
+    assert code == EXIT_OK and out.strip() == "9"
 
 
 def test_eval_range(capsys):
@@ -46,6 +48,9 @@ def test_eval_fast_agrees(capsys):
 def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--seq", "T")[0] == EXIT_USAGE
     assert run(capsys, "eval", "--seq", "T", "--range", "oops")[0] == EXIT_USAGE
+    for seed in ("1,2", "1,2,3,4"):
+        code, out, err = run(capsys, "eval", "--seed", seed, "--n", "5")
+        assert code == EXIT_USAGE and out == "" and "--seed" in err
 
 
 def test_eval_empty_range(capsys):
@@ -72,6 +77,13 @@ def test_derive_lucas_json(capsys):
 
 def test_derive_duplicate_offsets(capsys):
     assert run(capsys, "derive", "--basis", "T", "--offsets", "0,0,1")[0] == EXIT_USAGE
+    # dash-led offsets reach the deriver (singular in both bases), not argparse
+    assert run(capsys, "derive", "--basis", "K", "--offsets", "-3,0,1")[0] == EXIT_UNSUPPORTED
+
+
+def test_derive_degenerate_offsets(capsys):
+    code, out, err = run(capsys, "derive", "--basis", "T", "--offsets", "-4,-1,0")
+    assert code == EXIT_UNSUPPORTED and out == "" and "degenerate offsets" in err
 
 
 def test_certify_bridge_identity(capsys):
@@ -108,6 +120,13 @@ def test_certify_parse_error(capsys):
     assert code == EXIT_USAGE and "position" in err
 
 
+def test_certify_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "identity.txt"
+    path.write_bytes(b"W(r) = \xff\xfe W(r)\n")
+    code, out, err = run(capsys, "certify", "--file", str(path))
+    assert code == EXIT_USAGE and out == "" and "--file" in err
+
+
 def test_certify_unsupported(capsys):
     code, _, err = run(capsys, "certify", "T(0) = 0")
     assert code == EXIT_UNSUPPORTED and "unsupported" in err
@@ -130,6 +149,12 @@ def test_corpus_mutation_hook(capsys):
     code, out, _ = run(capsys, "corpus", "--mutate", "1", "--only", "eq12", "--only", "thm4")
     assert code == EXIT_OK
     assert "total: 2/2 refuted" in out
+
+
+def test_corpus_mutate_needs_positive_k(capsys):
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "corpus", "--mutate", k, "--only", "thm4")
+        assert code == EXIT_USAGE and out == "" and "--mutate" in err
 
 
 def test_corpus_unknown_id(capsys):

@@ -112,6 +112,13 @@ def test_duplicate_offsets_rejected():
         derive_tribonacci_basis(0, 0, 1)
 
 
+def test_singular_anchor_systems_rejected():
+    # both anchor determinants vanish for these offsets
+    for fn in (derive_tribonacci_basis, derive_lucas_basis):
+        with pytest.raises(DegenerateOffsets):
+            fn(-4, -1, 0)
+
+
 def residual(t, seed, r, s):
     """RHS - denominator * W(r+s) of a template, by the reference evaluator."""
     return -reevaluate(template_to_ast(t).diff(), seed, r, s)

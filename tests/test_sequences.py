@@ -77,7 +77,7 @@ def test_basis_decomposition_small_examples():
 
 def test_basis_decomposition_matches_unit_seeds():
     units = [SeedVector(1, 0, 0), SeedVector(0, 1, 0), SeedVector(0, 0, 1)]
-    for n in range(-50, 51):
+    for n in [*range(-50, 51), -10**4, -1000, 1000, 10**4]:
         assert basis_decomposition(n) == tuple(term(u, n) for u in units)
 
 
