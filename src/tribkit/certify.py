@@ -1,16 +1,59 @@
-"""Certification of identities by exhaustive evaluation on a finite window.
+"""Certification of identities for all integer indices and all seeds.
 
-Soundness argument.  Fix all variables but one, say s.  Every monomial, as
-a function of s, is a product of d sequences satisfying the order-3
-recurrence with characteristic polynomial x^3 - x^2 - x - 1.  Such products
-lie in a space of dimension at most C(d+2, 2) (symmetric powers of the
-3-dimensional solution space) that is closed under the index shift; the
-shift is invertible because the root product (the constant term) is 1.  A
-member of an m-dimensional shift-invariant space with invertible shift that
-vanishes on m consecutive integers vanishes everywhere.  Summing the bound
-over the distinct degrees occurring in s gives the window length m(s); same
-for r.  The dependence on the seeds (w0, w1, w2) is polynomial with degree
-at most d_W in each, so values on the grid {0..d_W}^3 determine it.
+``certify`` decides lhs = rhs in three steps.  Only the grid (step 3) ever
+refutes, so a refutation and its counterexample are exactly the ones the
+full grid finds.
+
+1. Grid prefix.  The grid of step 3 runs over its first two seed points,
+   (0, 0, 0) and (0, 0, 1), with the full r/s windows.  Most false
+   identities fail here, before paying for step 2.  One point is not
+   enough: (0, 0, 0) zeroes every W factor.
+
+2. Normal form.  Every sequence U obeying the recurrence satisfies
+   U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
+   (c_0, c_1, c_2) = ``basis_decomposition(n)`` are the coefficients of
+   x^n mod x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1), 1985).  The
+   Hankel matrix A = [T(i+j)] = [[0,1,1],[1,1,2],[1,2,4]] has det -1, so
+   c_i(n) = sum_j A^-1[i][j] T(n+j) with the integer
+   A^-1 = [[0,2,-1],[2,1,-1],[-1,-1,1]].  With window variables
+
+       X   = (W(b), W(b+1), W(b+2)) if every W factor contains the
+             variable b (r, else s), otherwise the seed (w0, w1, w2),
+       Y_v = (T(v), T(v+1), T(v+2)) for v = r, s,
+
+   every factor is rewritten as a polynomial: W(b+n) = X . c(n) (b = 0
+   when X is the seed), and T and K are their seeds in ``NAMED`` dotted
+   with c(n).  The coordinates are
+   c(k) for a constant index, c_i(v+k) = sum_j A^-1[i][j] T(v+k+j) with
+   T(v+m) = c(m) . Y_v (linear in Y_v), and c_i(r+s+k) the same with
+   T(r+s+m) = sum_l c_l(s+m) Y_r,l (bilinear in Y_r and Y_s).  Each
+   rewrite holds for all integers r, s and every seed, so lhs - rhs equals
+   its expansion at the window values everywhere: a zero expansion proves
+   the identity.  A nonzero expansion does not disprove it, since the
+   window variables are not independent along the orbit: the Hankel
+   determinant of T is -1 for every v, and an identity that needs this norm
+   relation expands to nonzero.  Such identities go on to step 3.
+
+   A term of the expansion is keyed by one int with a bit field per window
+   variable, so multiplying two terms is one addition.  Every factor puts
+   at most one variable of each window into a term, so no exponent exceeds
+   the largest monomial degree D of lhs - rhs, and fields of
+   D.bit_length() bits never carry: distinct terms never share a key.
+
+3. Grid.  Fix all variables but one, say s.  Every monomial, as a function
+   of s, is a product of d sequences satisfying the order-3 recurrence with
+   characteristic polynomial x^3 - x^2 - x - 1.  Such products lie in a
+   space of dimension at most C(d+2, 2) (symmetric powers of the
+   3-dimensional solution space) that is closed under the index shift; the
+   shift is invertible because the root product (the constant term) is 1.
+   A member of an m-dimensional shift-invariant space with invertible shift
+   that vanishes on m consecutive integers vanishes everywhere.  Summing
+   the bound over the distinct degrees occurring in s gives the window
+   length m(s); same for r.  The dependence on the seeds (w0, w1, w2) is
+   polynomial with degree at most d_W in each, so values on the grid
+   {0..d_W}^3 determine it.  The grid resumes at its third seed point, so
+   its verdict, counterexample and evaluation count are those of a full
+   grid run.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -20,11 +63,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import comb
 
-from .dsl import VARS, IdentityAst, Side, degree_profile
-from .sequences import NAMED, SeedVector, term_range
+from .dsl import VARS, IdentityAst, Side, degree_profile, poly_add, poly_scale
+from .sequences import NAMED, SeedVector, basis_decomposition, term_range
+
+#: Seed points of the grid checked before the normal form (see step 1).
+_PREFIX = 2
+
+#: A^-1 for the Hankel matrix A = [T(i+j)]: c_i(n) = sum_j A^-1[i][j] T(n+j).
+_A_INV = ((0, 2, -1), (2, 1, -1), (-1, -1, 1))
 
 
 class UnsupportedTerm(ValueError):
@@ -47,6 +96,7 @@ class Certificate:
     windows: dict[str, int]
     seed_degree: int
     evaluations: int
+    method: str  # "normal_form" | "grid": the step that decided
     counterexample: Counterexample | None = None
 
     def to_dict(self) -> dict:
@@ -57,6 +107,7 @@ class Certificate:
             "seed_degree": self.seed_degree,
             "seed_grid": f"{{0..{self.seed_degree}}}^3",
             "evaluations": self.evaluations,
+            "method": self.method,
         }
         if self.counterexample is not None:
             c = self.counterexample
@@ -106,22 +157,142 @@ class _Tables:
         self.vals = {"W": term_range(w_seed, lo, hi)}
         for sym, seed in NAMED.items():
             self.vals[sym] = term_range(seed, lo, hi)
+        self.w_zero = not any(w_seed)
+
+    def bind(self, side: Side) -> list:
+        """The side with its table lookups resolved, for ``_evaluate``.
+
+        Under the zero seed every W value is 0, so monomials with a W
+        factor are left out.
+        """
+        lo, vals = self.lo, self.vals
+        return [
+            (coeff, [(vals[sym], off - lo, "r" in vs, "s" in vs, e) for (sym, vs, off), e in mono])
+            for mono, coeff in side
+            if not (self.w_zero and any(sym == "W" for (sym, _, _), _ in mono))
+        ]
 
     def eval_side(self, side: Side, r: int, s: int) -> int:
-        total = 0
-        lo = self.lo
-        for mono, coeff in side:
-            v = coeff
-            for (sym, vs, off), e in mono:
-                idx = off - lo
-                if "r" in vs:
-                    idx += r
-                if "s" in vs:
-                    idx += s
-                val = self.vals[sym][idx]
-                v *= val if e == 1 else val**e
-            total += v
-        return total
+        return _evaluate(self.bind(side), r, s)
+
+
+def _evaluate(bound: list, r: int, s: int) -> int:
+    total = 0
+    for coeff, factors in bound:
+        v = coeff
+        for vals, idx, has_r, has_s, e in factors:
+            if has_r:
+                idx += r
+            if has_s:
+                idx += s
+            val = vals[idx]
+            v *= val if e == 1 else val**e
+        total += v
+    return total
+
+
+def _shifted(p: dict[int, int], key: int) -> dict[int, int]:
+    """p times the single variable packed as ``key``."""
+    return {k + key: c for k, c in p.items()}
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _normal_form(diff: Side) -> dict[int, int]:
+    """lhs - rhs expanded over the window variables (module docstring, step 2).
+
+    Keys pack the exponents of X_0..X_2, Y_r,0..Y_r,2, Y_s,0..Y_s,2 in that
+    order; the empty dict means the identity holds for all r, s and seeds.
+    """
+    width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
+    x_keys = [1 << (width * i) for i in range(3)]
+    y_keys = {
+        v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
+    }
+    w_vars = [vs for mono, _ in diff for (sym, vs, _), _ in mono if sym == "W"]
+    base = next((b for b in VARS if all(b in vs for vs in w_vars)), None)
+
+    def coords(vs: tuple[str, ...], k: int) -> list[dict[int, int]]:
+        """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Y."""
+        if not vs:
+            return [{0: c} if c else {} for c in basis_decomposition(k)]
+        # ts[j] = T(sum(vs) + k + j)
+        if len(vs) == 1:  # T(v+m) = c(m) . Y_v
+            ts = [
+                {y: c for y, c in zip(y_keys[vs[0]], basis_decomposition(k + j)) if c}
+                for j in range(3)
+            ]
+        else:  # T(r+s+m) = sum_l c_l(s+m) Y_r,l
+            ts = []
+            for j in range(3):
+                t: dict[int, int] = {}
+                for y, c in zip(y_keys["r"], coords(("s",), k + j)):
+                    t = poly_add(t, _shifted(c, y))
+                ts.append(t)
+        out = []
+        for row in _A_INV:
+            c: dict[int, int] = {}
+            for a, t in zip(row, ts):
+                c = poly_add(c, poly_scale(t, a))
+            out.append(c)
+        return out
+
+    def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
+        p: dict[int, int] = {}
+        if sym == "W":
+            for x, c in zip(x_keys, coords(tuple(v for v in vs if v != base), k)):
+                p = poly_add(p, _shifted(c, x))
+        else:
+            for w, c in zip(NAMED[sym], coords(vs, k)):
+                p = poly_add(p, poly_scale(c, w))
+        return p
+
+    factors: dict = {}
+    total: dict[int, int] = {}
+    for mono, coeff in diff:
+        p = {0: coeff}
+        for f, e in mono:
+            if f not in factors:
+                factors[f] = factor(*f)
+            for _ in range(e):
+                p = _mul(p, factors[f])
+        total = poly_add(total, p)
+    return total
+
+
+def _grid(
+    ast: IdentityAst, diff: Side, windows: dict[str, int], seeds
+) -> tuple[int, Counterexample | None]:
+    """Evaluate diff over ``seeds`` x the r/s windows (module docstring, step 3).
+
+    Returns the evaluation count and the first point where diff is nonzero.
+    """
+    ranges = {v: range(windows[v]) for v in VARS}
+    lo, hi = _index_bounds(diff, ranges)
+    evaluations = 0
+    for seed in seeds:
+        tables = _Tables(lo, hi, SeedVector(*seed))
+        bound = tables.bind(diff)
+        for r in ranges["r"]:
+            for s in ranges["s"]:
+                evaluations += 1
+                if _evaluate(bound, r, s) != 0:
+                    return evaluations, Counterexample(
+                        seed=seed,
+                        r=r,
+                        s=s,
+                        lhs=tables.eval_side(ast.lhs, r, s),
+                        rhs=tables.eval_side(ast.rhs, r, s),
+                    )
+    return evaluations, None
 
 
 def certify(ast: IdentityAst) -> Certificate:
@@ -139,29 +310,23 @@ def certify(ast: IdentityAst) -> Certificate:
         seed_degree=profile.w_degree,
     )
     if not diff:
-        return Certificate(verdict="verified", evaluations=0, **cert_meta)
-    ranges = {v: range(windows[v]) for v in VARS}
-    lo, hi = _index_bounds(diff, ranges)
-    evaluations = 0
-    for seed in product(range(profile.w_degree + 1), repeat=3):
-        tables = _Tables(lo, hi, SeedVector(*seed))
-        for r in ranges["r"]:
-            for s in ranges["s"]:
-                evaluations += 1
-                if tables.eval_side(diff, r, s) != 0:
-                    return Certificate(
-                        verdict="refuted",
-                        evaluations=evaluations,
-                        counterexample=Counterexample(
-                            seed=seed,
-                            r=r,
-                            s=s,
-                            lhs=tables.eval_side(ast.lhs, r, s),
-                            rhs=tables.eval_side(ast.rhs, r, s),
-                        ),
-                        **cert_meta,
-                    )
-    return Certificate(verdict="verified", evaluations=evaluations, **cert_meta)
+        return Certificate(verdict="verified", evaluations=0, method="normal_form", **cert_meta)
+    seeds = product(range(profile.w_degree + 1), repeat=3)
+    evaluations, counterexample = _grid(ast, diff, windows, islice(seeds, _PREFIX))
+    method = "grid"
+    if counterexample is None:
+        if _normal_form(diff):
+            more, counterexample = _grid(ast, diff, windows, seeds)
+            evaluations += more
+        else:
+            method = "normal_form"
+    return Certificate(
+        verdict="verified" if counterexample is None else "refuted",
+        evaluations=evaluations,
+        method=method,
+        counterexample=counterexample,
+        **cert_meta,
+    )
 
 
 @dataclass(frozen=True)

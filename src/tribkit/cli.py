@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -151,7 +152,7 @@ def _certify_report(ast: dsl.IdentityAst, as_json: bool) -> int:
         print(
             f"  windows r={cert.windows['r']} s={cert.windows['s']}"
             f" seed-grid {{0..{cert.seed_degree}}}^3"
-            f" evaluations {cert.evaluations}"
+            f" evaluations {cert.evaluations} method {cert.method}"
         )
         if cert.counterexample:
             c = cert.counterexample
@@ -199,14 +200,28 @@ def _cmd_corpus(args) -> int:
         if missing:
             print(f"unknown corpus ids: {sorted(missing)}", file=sys.stderr)
             return EXIT_USAGE
-    verdicts = {}
+    asts = {}
     for entry in entries:
-        ast = entry.ast()
+        try:
+            ast = entry.ast()
+        except dsl.ParseError as exc:
+            print(f"corpus entry {entry.id}: parse error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if args.mutate is not None:
             mutants = list(single_coefficient_mutants(ast))
+            if not mutants:
+                print(f"corpus entry {entry.id}: no coefficient to mutate", file=sys.stderr)
+                return EXIT_USAGE
             ast = mutants[(args.mutate - 1) % len(mutants)]
-        verdicts[entry.id] = certify(ast).verdict
-        print(f"{entry.id}: {verdicts[entry.id]}")
+        asts[entry.id] = ast
+    verdicts = {}
+    for entry_id, ast in asts.items():
+        try:
+            verdicts[entry_id] = certify(ast).verdict
+        except UnsupportedTerm as exc:
+            print(f"corpus entry {entry_id}: unsupported: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+        print(f"{entry_id}: {verdicts[entry_id]}")
     expected = "refuted" if args.mutate is not None else "verified"
     good = sum(1 for v in verdicts.values() if v == expected)
     print(f"total: {good}/{len(verdicts)} {expected}")
@@ -251,7 +266,14 @@ def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
     return flags
 
 
-def _join_dashed_values(argv: list[str], value_flags: set[str]) -> list[str]:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The parser and its value-taking flags, built once per process."""
+    parser = _build_parser()
+    return parser, frozenset(_value_flags(parser))
+
+
+def _join_dashed_values(argv: list[str], value_flags: frozenset[str]) -> list[str]:
     """Glue flag values that start with "-" (e.g. ``--range -5..5``) onto
     their flag so argparse does not mistake them for options."""
     out = []
@@ -280,11 +302,11 @@ def _shield_dashed_identity(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, value_flags = _parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _shield_dashed_identity(_join_dashed_values(list(argv), _value_flags(parser)))
+        argv = _shield_dashed_identity(_join_dashed_values(list(argv), value_flags))
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -1,19 +1,29 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tribkit import (
+    DegenerateOffsets,
     SeedVector,
     UnsupportedTerm,
     certify,
+    derive_lucas_basis,
+    derive_tribonacci_basis,
     fuzz,
     load_corpus,
     parse,
+    render,
     single_coefficient_mutants,
+    swap_roles,
+    template_to_ast,
     term,
     window_bound,
 )
-from tribkit.certify import _Tables
+from tribkit.certify import _grid, _normal_form, _Tables
+from tribkit.dsl import identity, poly_add, poly_mul
 
 from reference import reevaluate
 
@@ -47,7 +57,8 @@ def test_linear_recurrence_verified():
     assert cert.verdict == "verified"
     assert cert.windows == {"r": 3, "s": 1}
     assert cert.seed_degree == 1
-    assert cert.evaluations == 8 * 3  # {0,1}^3 seed grid times the r window
+    assert cert.evaluations == 2 * 3  # the two-point grid prefix times the r window
+    assert cert.method == "normal_form"
 
 
 def test_false_linear_recurrence_refuted():
@@ -157,3 +168,112 @@ def test_window_shrink_admits_false_identity():
     assert cert.counterexample.r == 2
     tables = _Tables(-1, 3, SeedVector(0, 0, 0))
     assert all(tables.eval_side(ast.diff(), r, 0) == 0 for r in (0, 1))
+
+
+# --- normal form ------------------------------------------------------------
+
+HANKEL_T = (
+    "(T(r)*T(r+2)*T(r+4) - T(r)*T(r+3)^2 - T(r+1)^2*T(r+4)"
+    " + 2*T(r+1)*T(r+2)*T(r+3) - T(r+2)^3)*W(s) = -W(s)"
+)
+
+
+def test_normal_form_zero_on_corpus_nonzero_on_mutants():
+    mutants = 0
+    for entry in load_corpus():
+        ast = entry.ast()
+        assert not _normal_form(ast.diff()), entry.id
+        for mutant in single_coefficient_mutants(ast):
+            mutants += 1
+            assert _normal_form(mutant.diff()), (entry.id, render(mutant))
+    assert mutants == 349
+
+
+def test_normal_form_zero_on_derived_formulas():
+    formulas = 0
+    for derive in (derive_tribonacci_basis, derive_lucas_basis):
+        for offsets in combinations(range(-6, 7), 3):
+            try:
+                template = derive(*offsets)
+            except DegenerateOffsets:
+                continue
+            for ast in (template_to_ast(template), swap_roles(template)):
+                formulas += 1
+                assert not _normal_form(ast.diff()), (offsets, render(ast))
+    assert formulas == 2 * 536
+
+
+def test_norm_relation_falls_back_to_grid():
+    # The Hankel determinant of T is -1 at every r, but only along the orbit:
+    # as a polynomial in (T(r), T(r+1), T(r+2)) it is not the constant -1.
+    cert = certify(parse(HANKEL_T))
+    assert cert.verdict == "verified" and cert.method == "grid"
+    assert cert.evaluations == 8 * 11 * 3  # the full {0,1}^3 grid
+    false = certify(parse(HANKEL_T.replace("= -W(s)", "= W(s)")))
+    assert false.verdict == "refuted" and false.method == "grid"
+
+
+def test_method_reported():
+    assert certify(parse(THM4)).to_dict()["method"] == "normal_form"
+    assert certify(parse("W(r) = W(r)")).method == "normal_form"
+    assert certify(parse("W(r) = 2*W(r-1)")).to_dict()["method"] == "grid"
+
+
+def test_normal_form_fields_do_not_carry():
+    # With 8-bit exponent fields W(r)^256 = X_0^256 would collide with
+    # W(r+1) = X_1 and the false identity would cancel to zero.
+    assert len(_normal_form(parse("W(r)^256 = W(r+1)").diff())) == 2
+    true = parse("W(r)^300*W(r+3) = W(r)^300*(W(r+2) + W(r+1) + W(r))")
+    assert not _normal_form(true.diff())
+
+
+_factor = st.tuples(
+    st.sampled_from("WTK"), st.sampled_from([("r",), ("s",), ("r", "s")]), st.integers(-3, 3)
+)
+_monomial = st.tuples(st.integers(-3, 3).filter(bool), st.lists(_factor, min_size=1, max_size=2))
+
+
+def _poly(terms):
+    out = {}
+    for coeff, factors in terms:
+        mono = {(): coeff}
+        for f in factors:
+            mono = poly_mul(mono, {((f, 1),): 1})
+        out = poly_add(out, mono)
+    return out
+
+
+def _recurrence(factor):
+    """f(n) as f(n-1) + f(n-2) + f(n-3)."""
+    sym, vs, off = factor
+    return {(((sym, vs, off - k), 1),): 1 for k in (1, 2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lhs=st.lists(_monomial, min_size=1, max_size=3),
+    rhs=st.lists(_monomial, max_size=2),
+    true=st.booleans(),
+)
+def test_certify_matches_full_grid(lhs, rhs, true):
+    left = _poly(lhs)
+    if true:  # rewrite one factor of one term by the recurrence
+        coeff, (first, *rest) = lhs[0]
+        right = poly_add(
+            _poly(lhs[1:]), poly_mul(_poly([(coeff, rest)]), _recurrence(first))
+        )
+    else:
+        right = _poly(rhs)
+    ast = identity(left, right)
+    assume(ast.diff())
+    cert = certify(ast)
+    seeds = product(range(cert.seed_degree + 1), repeat=3)
+    evaluations, counterexample = _grid(ast, ast.diff(), cert.windows, seeds)
+    assert cert.counterexample == counterexample
+    assert cert.verdict == ("verified" if counterexample is None else "refuted")
+    if true:
+        assert cert.verdict == "verified"
+    if counterexample is None:
+        assert cert.evaluations <= evaluations
+    else:
+        assert cert.evaluations == evaluations and cert.method == "grid"

@@ -70,7 +70,7 @@ def test_derive_lucas_json(capsys):
     code, out, _ = run(capsys, "derive", "--basis", "K", "--offsets", "-1,0,1", "--json")
     assert code == EXIT_OK
     report = json.loads(out.splitlines()[-1])
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["denominator"] == 22
     assert report["coefficients"] == [[5, 1, 2], [1, -2, 7], [2, 7, 3]]
 
@@ -105,9 +105,16 @@ def test_certify_json_report(capsys):
     code, out, _ = run(capsys, "certify", "--json", "W(r) = 2*W(r-1) - W(r-4)")
     report = json.loads(out)
     assert code == EXIT_OK
-    assert report["schema"] == 2 and report["verdict"] == "verified"
+    assert report["schema"] == 3 and report["verdict"] == "verified"
     assert report["windows"] == {"r": 3, "s": 1}
     assert "window_base" not in report
+
+
+def test_certify_text_reports_method(capsys):
+    _, out, _ = run(capsys, "certify", "W(r) = 2*W(r-1) - W(r-4)")
+    assert out.splitlines()[1].endswith("evaluations 6 method normal_form")
+    _, out, _ = run(capsys, "certify", "W(r) = 2*W(r-1)")
+    assert out.splitlines()[1].endswith("method grid")
 
 
 def test_certify_dash_led_identity(capsys):
@@ -155,6 +162,40 @@ def test_corpus_mutate_needs_positive_k(capsys):
     for k in ("0", "-1"):
         code, out, err = run(capsys, "corpus", "--mutate", k, "--only", "thm4")
         assert code == EXIT_USAGE and out == "" and "--mutate" in err
+
+
+def test_corpus_calls_do_not_share_state(capsys):
+    for entry_id in ("eq2", "eq7"):
+        code, out, _ = run(capsys, "corpus", "--only", entry_id)
+        assert code == EXIT_OK
+        assert out.splitlines() == [f"{entry_id}: verified", "total: 1/1 verified"]
+
+
+def test_usage_error_then_valid_call(capsys):
+    assert run(capsys, "eval", "--seq", "T")[0] == EXIT_USAGE
+    code, out, _ = run(capsys, "eval", "--seq", "T", "--n", "5")
+    assert code == EXIT_OK and out == "7\n"
+
+
+def test_corpus_unparsable_entry(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# [broken] local\nW(r) = = W(r)\n")
+    code, out, err = run(capsys, "corpus", "--path", str(path))
+    assert code == EXIT_USAGE and out == "" and "broken" in err
+
+
+def test_corpus_unsupported_entry(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# [absolute] local\nT(0) = 0*W(r)\n")
+    code, out, err = run(capsys, "corpus", "--path", str(path))
+    assert code == EXIT_UNSUPPORTED and "absolute" in err
+
+
+def test_corpus_mutate_without_coefficients(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# [trivial] local\nW(r) = W(r)\n")
+    code, out, err = run(capsys, "corpus", "--path", str(path), "--mutate", "1")
+    assert code == EXIT_USAGE and out == "" and "trivial" in err
 
 
 def test_corpus_unknown_id(capsys):
