@@ -25,14 +25,18 @@ class CorpusEntry:
 
 
 def _default_text() -> str:
-    return resources.files("tribkit.data").joinpath("corpus.txt").read_text()
+    return resources.files("tribkit.data").joinpath("corpus.txt").read_text(encoding="utf-8")
 
 
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
     """Load entries from a file, the env override, or the bundled default."""
     if path is None:
         path = os.environ.get(ENV_CORPUS_PATH)
-    text = _default_text() if path is None else open(path).read()
+    if path is None:
+        text = _default_text()
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     entries: list[CorpusEntry] = []
     pending: tuple[str, str] | None = None
     seen: set[str] = set()

@@ -1,35 +1,51 @@
 """Logarithmic-time term computation and a cross-checked benchmark harness.
 
-Everything rests on the addition formula, which holds for all integers r, s:
+Kernel.  ``sequences.square_and_shift`` over the bits of |m| gives
+c = (c0, c1, c2) = ``basis_decomposition(m)``, the coefficients of x^m
+modulo f = x^3 - x^2 - x - 1, with five squares per bit.  Since f annihilates every sequence at every
+shift, W(m + s) = c0*W(s) + c1*W(s+1) + c2*W(s+2) for all integers m, s.
 
-    W(r+s) = T(s-1)*W(r-1) + (T(s-1) + T(s-2))*W(r) + T(s)*W(r+1)
+Finish.  For n = 2m + o with m = n // 2 and o in {0, 1}, applying that twice
+gives the seed's Hankel form at c:
 
-Doubling.  With (p, q, u) = (T(n-1), T(n), T(n+1)), the formula at r = s
-(and its neighbours) gives
+    W(n) = sum over i, j of c_i * c_j * W(i+j+o) = c^T H c,  H[i][j] = W(i+j+o)
 
-    T(2n)   = p^2 + 2qu - q^2
-    T(2n+1) = q^2 + u^2 + 2pq
-    T(2n+2) = q^2 + u^2 + 2qu + 2pu
-    T(2n-1) = T(2n+2) - T(2n+1) - T(2n)
+(the paper's four-term addition formula, written in the monomial basis and
+applied twice).  Lagrange's reduction of Q(x) = x^T H x gives
+den * Q(x) = sum k * L(x)^2 with three integer linear forms L and small
+integers k, den, so the finish costs three squares at x = c and one exact
+division by den.  W(o..o+4) come from the seed by additions.  Pivots are
+symmetric, on the diagonal entry of least nonzero absolute value:
 
-three squares and three products per doubling.  A single step forward or
-backward after a doubling costs no multiplication, so negative indices use
-the same loop.
+    a * Q(x) = (a*x_i + b*x_j + c*x_k)^2 + R(x_j, x_k)
 
-Finish.  ``fast_term`` doubles only up to m = n // 2 and takes k = n - m.
-W(k-1), W(k), W(k+1) come from T(m-4..m+1) through the basis decomposition
-W(j) = w0*T(j-2) + w1*(T(j-2) + T(j-3)) + w2*T(j-1), which only scales terms
-by seed entries; the formula at r = k, s = m then needs three half-size
-products instead of a full-size doubling.
+with a = H[i][i], b = H[i][j], c = H[i][k] and R = [[p, q], [q, r]],
+p = a*H[j][j] - b^2, q = a*H[j][k] - b*c, r = a*H[k][k] - c^2.  Then
+p * R = (p*x_j + q*x_k)^2 + (p*r - q^2) * x_k^2, or, when R has a zero
+diagonal, the 2x2 pivot 2 * R = q * ((x_j + x_k)^2 - (x_j - x_k)^2).
 
-``mul_count`` counts the multiplications of two terms: 6 per doubling and 3
-in the finish, so fast_term(seed, 2**k) performs 6k + 3.  Seed scalings are
-linear in the operand size and not counted.
+Soundness.  Every step is an exact polynomial identity once the pivot is
+nonzero.  For a nonzero seed H is nonsingular: if H v = 0, then
+g(t) = sum v_j W(t+j) obeys the recurrence and vanishes at t = o, o+1, o+2,
+so g = 0 and v(x) = sum v_j x^j annihilates W.  The annihilating
+polynomials of W form an ideal of Q[x] that contains f; its generator
+divides f and is nonconstant because W is nonzero.  f is irreducible over
+Q (a cubic whose only candidate rational roots, +1 and -1, are not roots),
+so the generator is f, and v, of degree at most 2, is 0.
+Hence some diagonal entry W(o), W(o+2), W(o+4) is nonzero (a Hankel H with
+all three zero has two proportional rows), and det R = a * det H != 0, so R
+has a nonzero diagonal entry or q != 0.  The zero seed gives 0.
 
-``matrix_power_term`` is the independent oracle: the dot product of the
-seed with ``sequences.basis_decomposition(n)``, the coefficients of x^n
-modulo the characteristic polynomial x^3 - x^2 - x - 1 by square-and-shift.
-It never uses the addition formula.
+``mul_count`` counts the big-integer products ``fast_term`` performs: 5 per
+bit of |m| in the kernel and 3 in the finish, so fast_term(seed, 2**k)
+performs 5k + 3.  Products by seed-sized integers are linear in the operand
+size and not counted; ``basis_decomposition`` calls made elsewhere (certify,
+derive) do not count.
+
+``matrix_power_term`` is the dot product of the seed with
+``basis_decomposition(n)``, the full square-and-shift to n; it never runs
+the finish.  The ``double`` and ``matrix`` strategies of ``bench`` share the
+kernel, so ``iterate`` (the linear recurrence) is the independent check.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .sequences import TRIBONACCI, SeedVector, basis_decomposition, term
+from .sequences import TRIBONACCI, SeedVector, basis_decomposition, square_and_shift, term
 
 _mul_count = 0
 
@@ -53,60 +69,43 @@ def reset_mul_count() -> None:
     _mul_count = 0
 
 
-def _mul(a: int, b: int) -> int:
-    global _mul_count
-    _mul_count += 1
-    return a * b
-
-
-def _double(p: int, q: int, u: int) -> tuple[int, int, int, int]:
-    """Map (T(n-1), T(n), T(n+1)) to (T(2n-1), T(2n), T(2n+1), T(2n+2)).
-
-    Three squares and three products of window entries.
-    """
-    qq, uu = _mul(q, q), _mul(u, u)
-    qu2 = 2 * _mul(q, u)
-    even = _mul(p, p) + qu2 - qq  # T(2n)
-    odd = qq + uu + 2 * _mul(p, q)  # T(2n+1)
-    next_even = qq + uu + qu2 + 2 * _mul(p, u)  # T(2n+2)
-    return next_even - odd - even, even, odd, next_even
-
-
-def _trib_window(n: int) -> tuple[int, int, int]:
-    """(T(n-1), T(n), T(n+1)) for any integer n, in O(log |n|) steps."""
-    p, q, u = 0, 0, 1  # window at index 0
-    if n == 0:
-        return p, q, u
-    forward = n > 0
-    for bit in bin(abs(n))[2:]:
-        a, b, c, d = _double(p, q, u)  # T(2j-1), T(2j), T(2j+1), T(2j+2)
-        if bit == "0":
-            p, q, u = a, b, c
-        elif forward:
-            p, q, u = b, c, d
-        else:
-            p, q, u = c - b - a, a, b
-    return p, q, u
-
-
 def fast_term(seed: SeedVector, n: int) -> int:
-    """W(n) exactly, in O(log |n|) multiplications.
+    """W(n) exactly, in O(log |n|) squares.
 
-    The T window is doubled up to m = n // 2 only; the addition formula at
-    r = k = n - m, s = m then finishes with three half-size products.
+    The Hankel form of the seed evaluated at ``basis_decomposition(n // 2)``
+    by three squares; the module docstring has the derivation.
     """
-    m = n // 2
-    p, q, u = _trib_window(m)
-    t = [p, q, u]
-    for _ in range(3):
-        t.insert(0, t[2] - t[1] - t[0])
-    # t[i] = T(m-4+i).  W(k-1), W(k), W(k+1) for k = n - m by the basis
-    # decomposition W(j) = (w0+w1)*T(j-2) + w1*T(j-3) + w2*T(j-1), where
-    # T(j-3) = t[j-m+1]: seed scalings only, linear in the operand size.
+    global _mul_count
     w0, w1, w2 = seed
-    o = n - 2 * m  # k - m, 0 or 1
-    w = [(w0 + w1) * t[i + 1] + w1 * t[i] + w2 * t[i + 2] for i in (o, o + 1, o + 2)]
-    return _mul(p, w[0]) + _mul(p + t[2], w[1]) + _mul(q, w[2])
+    if not (w0 or w1 or w2):
+        return 0
+    m = n // 2
+    bits = bin(abs(m))[2:]
+    # basis_decomposition(m) without its small-index table: mul_count
+    # counts only squares performed
+    x = square_and_shift(1, 0, 0, bits, m > 0)
+    _mul_count += 5 * len(bits) + 3
+    w3 = w0 + w1 + w2
+    w4 = w1 + w2 + w3
+    # h[t] = W(t + o), H[i][j] = h[i + j]
+    h = (w0, w1, w2, w3, w4) if n == 2 * m else (w1, w2, w3, w4, w2 + w3 + w4)
+    i = min((0, 1, 2), key=lambda t: abs(h[2 * t]) or math.inf)
+    j, k = (1, 2) if i == 0 else (0, 2) if i == 1 else (0, 1)
+    a, b, c = h[2 * i], h[i + j], h[i + k]
+    l1 = a * x[i] + b * x[j] + c * x[k]
+    p = a * h[2 * j] - b * b
+    q = a * h[j + k] - b * c
+    r = a * h[2 * k] - c * c
+    if not p or (r and abs(r) < abs(p)):
+        j, k, p, r = k, j, r, p
+    xj, xk = x[j], x[k]
+    if p:
+        l2 = p * xj + q * xk
+        den, total = a * p, p * (l1 * l1) + l2 * l2 + (p * r - q * q) * (xk * xk)
+    else:
+        u, v = xj + xk, xj - xk
+        den, total = 2 * a, 2 * (l1 * l1) + q * (u * u - v * v)
+    return total // den
 
 
 def matrix_power_term(seed: SeedVector, n: int) -> int:

@@ -84,20 +84,45 @@ def basis_decomposition(n: int) -> tuple[int, int, int]:
     operator satisfies the characteristic polynomial on every sequence
     (Cayley-Hamilton; Fiduccia 1985).  Square-and-shift over the bits of
     |n|, O(log |n|) steps; negative n shifts by x^-1 = x^2 - x - 1.
+
+    Each step costs five squares (``square_and_shift``).  |n| < 64, the
+    indices certify and derive ask for over and over, read a table that the
+    same loop fills at import.
     """
-    c0, c1, c2 = 1, 0, 0
-    for bit in bin(abs(n))[2:]:
-        # square, then reduce x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-        d3 = 2 * c1 * c2
-        d4 = c2 * c2
-        c0, c1, c2 = (
-            c0 * c0 + d3 + d4,
-            2 * c0 * c1 + d3 + 2 * d4,
-            2 * c0 * c2 + c1 * c1 + d3 + 2 * d4,
-        )
+    if -64 < n < 64:
+        return _SMALL_POWERS[n]
+    return square_and_shift(1, 0, 0, bin(abs(n))[2:], n > 0)
+
+
+def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tuple[int, int, int]:
+    """For each bit of ``bits``: square c0 + c1*x + c2*x^2 modulo
+    x^3 - x^2 - x - 1, then on a "1" multiply by x (``forward``) or x^-1.
+
+    Squaring takes five big-integer squares: Toom-3 at the points 0, 1,
+    -1, -2 and infinity (Chung & Hasan, "Asymmetric squaring formulae",
+    ARITH 2007).  Interpolation needs only exact halvings and one exact
+    division by 3; the square's coefficients d0..d4 reduce by
+    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1.  One loop, no call per bit.
+    """
+    for bit in bits:
+        v0 = c0 * c0  # d0
+        v4 = c2 * c2  # d4
+        p = c0 + c2
+        q = p - c1
+        p += c1
+        r = q + 3 * c2 - c1  # c0 - 2c1 + 4c2
+        p *= p  # d0 + d1 + d2 + d3 + d4
+        q *= q  # d0 - d1 + d2 - d3 + d4
+        r *= r  # d0 - 2d1 + 4d2 - 8d3 + 16d4
+        t = ((q - v0 - (r - p) // 3) >> 1) + 3 * v4  # d3 + d4
+        # c0 = d0 + d3 + d4, c1 = d1 + d3 + 2d4, c2 = d2 + d3 + 2d4
+        c0, c1, c2 = v0 + t, ((p - q) >> 1) + 2 * v4, ((p + q) >> 1) - v0 + t
         if bit == "1":
-            if n > 0:  # times x
+            if forward:  # times x
                 c0, c1, c2 = c2, c0 + c2, c1 + c2
             else:  # times x^-1
                 c0, c1, c2 = c1 - c0, c2 - c0, c0
     return c0, c1, c2
+
+
+_SMALL_POWERS = {n: square_and_shift(1, 0, 0, bin(abs(n))[2:], n > 0) for n in range(-63, 64)}

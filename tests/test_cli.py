@@ -209,6 +209,13 @@ def test_corpus_path_override(tmp_path, capsys):
     assert code == EXIT_OK and "good: verified" in out
 
 
+def test_corpus_path_not_utf8(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"# [bad] \xff\xfe\nW(r) = W(r)\n")
+    code, out, err = run(capsys, "corpus", "--path", str(path))
+    assert code == EXIT_USAGE and out == "" and "cannot load corpus" in err
+
+
 def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c.txt"
     path.write_text("# [bad] local\nW(r) = 2*W(r-1)\n")

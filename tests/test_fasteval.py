@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tribkit import (
     TRIBONACCI,
     TRIBONACCI_LUCAS,
     SeedVector,
+    basis_decomposition,
     bench,
     fast_term,
     matrix_power_term,
@@ -65,16 +68,53 @@ def test_matches_matrix_power_on_random_indices():
 
 
 def test_multiplication_count_is_logarithmic():
-    # one extra doubling step per extra bit: 6 counted multiplications;
-    # 2**k doubles k times to 2**(k-1), then the finish takes 3 products
+    # 5 squares per bit of 2**(k-1), k bits, then 3 squares in the finish
     counts = {}
     for k in range(10, 21):
         reset_mul_count()
         fast_term(TRIBONACCI, 2**k)
         counts[k] = mul_count()
-        assert counts[k] == 6 * k + 3
+        assert counts[k] == 5 * k + 3
     diffs = {counts[k + 1] - counts[k] for k in range(10, 20)}
-    assert diffs == {6}
+    assert diffs == {5}
+
+
+def test_basis_decomposition_is_not_counted():
+    reset_mul_count()
+    basis_decomposition(2**20)
+    matrix_power_term(TRIBONACCI, 2**10)
+    assert mul_count() == 0
+
+
+big_seeds = st.builds(
+    SeedVector,
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@given(big_seeds, st.integers(-3000, 3000))
+def test_fast_term_matches_iteration_on_random_seeds(seed, n):
+    assert fast_term(seed, n) == term(seed, n)
+
+
+# (-2, 2, -2) at even n and (-2, -2, 2) at odd n leave a Schur complement
+# with a zero diagonal, so the finish takes the 2x2 pivot
+@pytest.mark.parametrize("seed", [SeedVector(-2, 2, -2), SeedVector(-2, -2, 2)])
+def test_two_by_two_pivot_seeds(seed):
+    for n in (*range(-40, 41), 1000, 1001, -1000, -1001):
+        assert fast_term(seed, n) == term(seed, n)
+
+
+def test_zero_seed_and_negative_indices():
+    zero = SeedVector(0, 0, 0)
+    reset_mul_count()
+    assert [fast_term(zero, n) for n in (-10**5, -1, 0, 1, 10**5)] == [0] * 5
+    assert mul_count() == 0
+    for seed in (TRIBONACCI, TRIBONACCI_LUCAS, SeedVector(5, -3, 2)):
+        for n in (-1, -2, -3, -4, -999, -1000, -2**12):
+            assert fast_term(seed, n) == term(seed, n)
 
 
 def test_digit_count_growth():

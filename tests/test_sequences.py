@@ -10,6 +10,7 @@ from tribkit import (
     term,
     term_range,
 )
+from tribkit.sequences import square_and_shift
 
 from table1 import K_TABLE, T_TABLE
 
@@ -77,7 +78,7 @@ def test_basis_decomposition_small_examples():
 
 def test_basis_decomposition_matches_unit_seeds():
     units = [SeedVector(1, 0, 0), SeedVector(0, 1, 0), SeedVector(0, 0, 1)]
-    for n in [*range(-50, 51), -10**4, -1000, 1000, 10**4]:
+    for n in [*range(-70, 71), -10**4, -1000, 1000, 10**4]:
         assert basis_decomposition(n) == tuple(term(u, n) for u in units)
 
 
@@ -85,3 +86,28 @@ def test_basis_decomposition_matches_unit_seeds():
 def test_basis_decomposition_reconstructs_terms(seed, n):
     a, b, c = basis_decomposition(n)
     assert term(seed, n) == seed.w0 * a + seed.w1 * b + seed.w2 * c
+
+
+def _reduced_schoolbook_square(c0, c1, c2):
+    d = [0] * 5
+    for i, a in enumerate((c0, c1, c2)):
+        for j, b in enumerate((c0, c1, c2)):
+            d[i + j] += a * b
+    # x^3 = x^2 + x + 1
+    for k in (4, 3):
+        d[k - 1] += d[k]
+        d[k - 2] += d[k]
+        d[k - 3] += d[k]
+    return d[0], d[1], d[2]
+
+
+coefficients = st.integers(-(10**40), 10**40)
+
+
+@given(coefficients, coefficients, coefficients)
+def test_kernel_step_is_the_reduced_square(c0, c1, c2):
+    square = _reduced_schoolbook_square(c0, c1, c2)
+    assert square_and_shift(c0, c1, c2, "0", True) == square
+    s0, s1, s2 = square
+    assert square_and_shift(c0, c1, c2, "1", True) == (s2, s0 + s2, s1 + s2)
+    assert square_and_shift(c0, c1, c2, "1", False) == (s1 - s0, s2 - s0, s0)
