@@ -7,7 +7,11 @@ full grid finds.
 1. Grid prefix.  The grid of step 3 runs over its first two seed points,
    (0, 0, 0) and (0, 0, 1), with the full r/s windows.  Most false
    identities fail here, before paying for step 2.  One point is not
-   enough: (0, 0, 0) zeroes every W factor.
+   enough: (0, 0, 0) zeroes every W factor.  When every monomial has a W
+   factor, lhs - rhs is 0 at that seed point, which is then counted, not
+   looped: it adds len(r) * len(s) to ``evaluations`` without evaluating.
+   The T and K tables do not depend on the seed, so a grid run builds
+   them once, and only for the symbols that occur.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -34,10 +38,24 @@ full grid finds.
    determinant of T is -1 for every v, and an identity that needs this norm
    relation expands to nonzero.  Such identities go on to step 3.
 
+   The expansion runs on lhs - rhs = g * h with the common monomial factor
+   g (each factor at its least exponent over all monomials) divided out.
+   This changes no verdict.  The rewrite is multiplicative (a ring
+   homomorphism from polynomials in the factors to Z[X, Y_r, Y_s]), so
+   NF(g * h) = NF(g) * NF(h).  Every factor goes to a nonzero polynomial:
+   evaluated at the window values of a point (r, s, seed), its image is
+   the factor's value there, and every factor is nonzero somewhere.  At
+   r = s = 0 a W factor with constant offset k is the seed dotted with
+   c(k), and c(k), the unit x^k mod x^3 - x^2 - x - 1, is nonzero; T and
+   K are nonzero solutions, which never vanish on three consecutive
+   indices.  Z[X, Y_r, Y_s] is an integral domain, so NF(g) != 0 and
+   NF(g * h) = 0 exactly when NF(h) = 0.  Only this zero test uses the
+   quotient h; steps 1 and 3 run on lhs - rhs itself.
+
    A term of the expansion is keyed by one int with a bit field per window
    variable, so multiplying two terms is one addition.  Every factor puts
    at most one variable of each window into a term, so no exponent exceeds
-   the largest monomial degree D of lhs - rhs, and fields of
+   the largest monomial degree D of h, and fields of
    D.bit_length() bits never carry: distinct terms never share a key.
 
 3. Grid.  Fix all variables but one, say s.  Every monomial, as a function
@@ -66,7 +84,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from math import comb
 
-from .dsl import VARS, IdentityAst, Side, degree_profile, poly_add, poly_scale
+from .dsl import SYMBOLS, VARS, IdentityAst, Side, degree_profile
 from .sequences import NAMED, SeedVector, basis_decomposition, term_range
 
 #: Seed points of the grid checked before the normal form (see step 1).
@@ -139,25 +157,36 @@ def _check_supported(side: Side) -> None:
                 )
 
 
-def _index_bounds(diff: Side, ranges: dict[str, range]) -> tuple[int, int]:
+def _index_bounds(factors: set, ranges: dict[str, range]) -> tuple[int, int]:
     lo, hi = 0, 0
-    for mono, _ in diff:
-        for (sym, vs, off), _e in mono:
-            a = off + sum(ranges[v].start for v in vs)
-            b = off + sum(ranges[v][-1] for v in vs)
-            lo, hi = min(lo, a), max(hi, b)
+    for sym, vs, off in factors:
+        a = off + sum(ranges[v].start for v in vs)
+        b = off + sum(ranges[v][-1] for v in vs)
+        lo, hi = min(lo, a), max(hi, b)
     return lo, hi
 
 
-class _Tables:
-    """Sequence values over a contiguous index range, one array per symbol."""
+def _factors(side: Side) -> set:
+    """The distinct factors of a side."""
+    return {f for mono, _ in side for f, _e in mono}
 
-    def __init__(self, lo: int, hi: int, w_seed: SeedVector):
-        self.lo = lo
-        self.vals = {"W": term_range(w_seed, lo, hi)}
-        for sym, seed in NAMED.items():
-            self.vals[sym] = term_range(seed, lo, hi)
+
+class _Tables:
+    """Sequence values over a contiguous index range, one array per symbol.
+
+    The named sequences among ``symbols`` are tabulated once; ``reseed``
+    replaces only the W array.
+    """
+
+    def __init__(self, lo: int, hi: int, w_seed: SeedVector, symbols=SYMBOLS):
+        self.lo, self.hi = lo, hi
+        self.vals = {sym: term_range(NAMED[sym], lo, hi) for sym in symbols if sym in NAMED}
+        self.reseed(w_seed)
+
+    def reseed(self, w_seed: SeedVector) -> None:
         self.w_zero = not any(w_seed)
+        # Under the zero seed ``bind`` drops every W monomial, so W is not read.
+        self.vals["W"] = None if self.w_zero else term_range(w_seed, self.lo, self.hi)
 
     def bind(self, side: Side) -> list:
         """The side with its table lookups resolved, for ``_evaluate``.
@@ -191,9 +220,22 @@ def _evaluate(bound: list, r: int, s: int) -> int:
     return total
 
 
-def _shifted(p: dict[int, int], key: int) -> dict[int, int]:
-    """p times the single variable packed as ``key``."""
-    return {k + key: c for k, c in p.items()}
+def _times_vars(keys: list[int], polys) -> dict[int, int]:
+    """sum_i polys[i] times the variable packed as keys[i].  The variables
+    are distinct and absent from the polys, so no two terms share a key.
+    """
+    return {k + key: c for key, p in zip(keys, polys) for k, c in p.items()}
+
+
+def _combine(coeffs, polys) -> dict[int, int]:
+    """sum_i coeffs[i] * polys[i], added in place, zeros dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for a, p in zip(coeffs, polys):
+        if a:
+            for k, c in p.items():
+                out[k] = get(k, 0) + a * c
+    return {k: c for k, c in out.items() if c}
 
 
 def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -231,32 +273,17 @@ def _normal_form(diff: Side) -> dict[int, int]:
                 for j in range(3)
             ]
         else:  # T(r+s+m) = sum_l c_l(s+m) Y_r,l
-            ts = []
-            for j in range(3):
-                t: dict[int, int] = {}
-                for y, c in zip(y_keys["r"], coords(("s",), k + j)):
-                    t = poly_add(t, _shifted(c, y))
-                ts.append(t)
-        out = []
-        for row in _A_INV:
-            c: dict[int, int] = {}
-            for a, t in zip(row, ts):
-                c = poly_add(c, poly_scale(t, a))
-            out.append(c)
-        return out
+            ts = [_times_vars(y_keys["r"], coords(("s",), k + j)) for j in range(3)]
+        return [_combine(row, ts) for row in _A_INV]
 
     def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
-        p: dict[int, int] = {}
         if sym == "W":
-            for x, c in zip(x_keys, coords(tuple(v for v in vs if v != base), k)):
-                p = poly_add(p, _shifted(c, x))
-        else:
-            for w, c in zip(NAMED[sym], coords(vs, k)):
-                p = poly_add(p, poly_scale(c, w))
-        return p
+            return _times_vars(x_keys, coords(tuple(v for v in vs if v != base), k))
+        return _combine(NAMED[sym], coords(vs, k))
 
     factors: dict = {}
     total: dict[int, int] = {}
+    get = total.get
     for mono, coeff in diff:
         p = {0: coeff}
         for f, e in mono:
@@ -264,8 +291,9 @@ def _normal_form(diff: Side) -> dict[int, int]:
                 factors[f] = factor(*f)
             for _ in range(e):
                 p = _mul(p, factors[f])
-        total = poly_add(total, p)
-    return total
+        for k, c in p.items():
+            total[k] = get(k, 0) + c
+    return {k: c for k, c in total.items() if c}
 
 
 def _grid(
@@ -274,13 +302,25 @@ def _grid(
     """Evaluate diff over ``seeds`` x the r/s windows (module docstring, step 3).
 
     Returns the evaluation count and the first point where diff is nonzero.
+    A seed point where every monomial vanishes identically (step 1) counts
+    its r/s points without evaluating them.
     """
     ranges = {v: range(windows[v]) for v in VARS}
-    lo, hi = _index_bounds(diff, ranges)
+    factors = _factors(ast.monomials())
+    lo, hi = _index_bounds(factors, ranges)
+    symbols = {sym for sym, _, _ in factors}
+    points = windows["r"] * windows["s"]
+    tables = None
     evaluations = 0
     for seed in seeds:
-        tables = _Tables(lo, hi, SeedVector(*seed))
+        if tables is None:
+            tables = _Tables(lo, hi, SeedVector(*seed), symbols)
+        else:
+            tables.reseed(SeedVector(*seed))
         bound = tables.bind(diff)
+        if not bound:
+            evaluations += points
+            continue
         for r in ranges["r"]:
             for s in ranges["s"]:
                 evaluations += 1
@@ -293,6 +333,30 @@ def _grid(
                         rhs=tables.eval_side(ast.rhs, r, s),
                     )
     return evaluations, None
+
+
+def _content_free(diff: Side) -> list:
+    """diff divided by its common monomial factor (module docstring, step 2),
+    in diff's order.
+
+    The common factor takes each factor at its least exponent over all
+    monomials; dividing by one monomial keeps distinct monomials distinct.
+    """
+    common = dict(diff[0][0])
+    for mono, _ in diff[1:]:
+        exps = dict(mono)
+        common = {f: min(e, exps[f]) for f, e in common.items() if f in exps}
+        if not common:
+            return list(diff)
+    out = []
+    for mono, coeff in diff:
+        quotient = []
+        for f, e in mono:
+            e -= common.get(f, 0)
+            if e:
+                quotient.append((f, e))
+        out.append((tuple(quotient), coeff))
+    return out
 
 
 def certify(ast: IdentityAst) -> Certificate:
@@ -315,7 +379,7 @@ def certify(ast: IdentityAst) -> Certificate:
     evaluations, counterexample = _grid(ast, diff, windows, islice(seeds, _PREFIX))
     method = "grid"
     if counterexample is None:
-        if _normal_form(diff):
+        if _normal_form(_content_free(diff)):
             more, counterexample = _grid(ast, diff, windows, seeds)
             evaluations += more
         else:
@@ -348,7 +412,7 @@ def fuzz(ast: IdentityAst, trials: int, rng_seed: int) -> FuzzReport:
         r = rng.randint(-60, 60)
         s = rng.randint(-60, 60)
         point = {"r": range(r, r + 1), "s": range(s, s + 1)}
-        tables = _Tables(*_index_bounds(ast.monomials(), point), seed)
+        tables = _Tables(*_index_bounds(_factors(ast.monomials()), point), seed)
         lhs = tables.eval_side(ast.lhs, r, s)
         rhs = tables.eval_side(ast.rhs, r, s)
         if lhs != rhs:

@@ -49,7 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     which = p_eval.add_mutually_exclusive_group(required=True)
     which.add_argument("--n", type=int, help="single index")
     which.add_argument("--range", dest="range_", metavar="LO..HI", help="index range")
-    p_eval.add_argument("--fast", action="store_true", help="use doubling evaluation")
+    p_eval.add_argument(
+        "--fast",
+        action="store_true",
+        help="use doubling evaluation (a range: for its first three indices)",
+    )
 
     p_derive = sub.add_parser("derive", help="derive an addition formula")
     p_derive.add_argument("--basis", choices=tuple(NAMED), required=True)
@@ -100,8 +104,9 @@ def _cmd_eval(args) -> int:
         if not indices:
             print(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI", file=sys.stderr)
             return EXIT_USAGE
-    if args.fast:
-        values = [fasteval.fast_term(seed, n) for n in indices]
+    if args.fast:  # doubling for the first three indices, then the recurrence
+        head = [fasteval.fast_term(seed, n) for n in indices[:3]]
+        values = head if len(head) < 3 else term_range(SeedVector(*head), 0, len(indices) - 1)
     elif len(indices) > 1:
         values = term_range(seed, indices[0], indices[-1])
     else:

@@ -20,6 +20,13 @@ Grammar (# starts a comment, whitespace is insignificant):
     seq      := "W" | "T" | "K"
     index    := var ["+" var] [("+"|"-") posint] | ["-"] integer
     var      := "r" | "s"
+
+The parser takes its tokens from one ``re.findall`` pass and descends
+over that list of strings.  A term gathers its coefficient and one
+exponent per distinct sequence factor; only parenthesized groups are
+multiplied out with ``poly_mul``, and a sum adds its terms into one dict.
+Tokens carry no positions: a ``ParseError`` finds its position by
+scanning the text again, which only errors pay for.
 """
 
 from __future__ import annotations
@@ -57,10 +64,6 @@ def poly_add(a: dict, b: dict) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def poly_scale(a: dict, k: int) -> dict:
-    return {m: c * k for m, c in a.items()} if k != 0 else {}
-
-
 def poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for m1, c1 in a.items():
@@ -90,7 +93,7 @@ class IdentityAst:
 
     def diff(self) -> Side:
         """lhs - rhs as a single merged sum (zero for trivial identities)."""
-        return _freeze(poly_add(dict(self.lhs), poly_scale(dict(self.rhs), -1)))
+        return _freeze(poly_add(dict(self.lhs), {m: -c for m, c in self.rhs}))
 
     def monomials(self) -> Side:
         return self.lhs + self.rhs
@@ -135,154 +138,161 @@ def degree_profile(ast: IdentityAst) -> DegreeProfile:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s+|#[^\n]*|(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*^()=])")
+#: One match per token or comment; group 1 is the token ("" for a comment).
+#: Any other non-space character is a token of its own, refused by ``_error``.
+_TOKENS = re.compile(r"#[^\n]*|(\d+|[A-Za-z]|[-+*^()=]|\S)")
+_FACTOR_START = frozenset(("(",) + SYMBOLS)
+_SIGNS = ("+", "-")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+class _Fail(Exception):
+    """A syntax error at a token index; ``parse`` turns it into a ParseError."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", pos)
-
-    def parse_identity(self) -> IdentityAst:
-        lhs = self.parse_expr()
-        self.expect("=")
-        rhs = self.parse_expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return identity(lhs, rhs)
-
-    def parse_expr(self) -> dict:
-        sign = 1
-        if self.peek()[1] in ("+", "-"):
-            sign = -1 if self.next()[1] == "-" else 1
-        poly = poly_scale(self.parse_term(), sign)
-        while self.peek()[1] in ("+", "-"):
-            sign = -1 if self.next()[1] == "-" else 1
-            poly = poly_add(poly, poly_scale(self.parse_term(), sign))
-        return poly
-
-    def parse_term(self) -> dict:
-        kind, val, pos = self.peek()
-        if kind == "int":
-            self.next()
-            poly = {(): int(val)}
-        elif self._at_factor():
-            poly = self.parse_factor()
-        else:
-            raise ParseError(f"expected a term, found {val or 'end of input'!r}", pos)
-        while True:
-            if self.peek()[1] == "*":
-                self.next()
-                kind, val, pos = self.peek()
-                if kind == "int":  # liberal: integers allowed mid-product
-                    self.next()
-                    poly = poly_scale(poly, int(val))
-                    continue
-                if not self._at_factor():
-                    raise ParseError(
-                        f"expected a factor after '*', found {val or 'end of input'!r}", pos
-                    )
-                poly = poly_mul(poly, self.parse_factor())
-            elif self._at_factor():  # juxtaposition, e.g. 2W(r)
-                poly = poly_mul(poly, self.parse_factor())
-            else:
-                return poly
-
-    def _at_factor(self) -> bool:
-        kind, val, _ = self.peek()
-        return val == "(" or (kind == "name" and val in SYMBOLS)
-
-    def parse_factor(self) -> dict:
-        kind, val, pos = self.next()
-        if val == "(":
-            poly = self.parse_expr()
-            self.expect(")")
-            return self._maybe_power(poly)
-        if kind == "name" and val in SYMBOLS:
-            self.expect("(")
-            factor = self.parse_index(val)
-            self.expect(")")
-            return self._maybe_power({((factor, 1),): 1})
-        if kind == "name":
-            raise ParseError(f"unknown sequence symbol {val!r}", pos)
-        raise ParseError(f"expected a factor, found {val or 'end of input'!r}", pos)
-
-    def _maybe_power(self, poly: dict) -> dict:
-        if self.peek()[1] != "^":
-            return poly
-        self.next()
-        kind, val, pos = self.next()
-        if kind != "int" or int(val) < 1:
-            raise ParseError("exponent must be a positive integer", pos)
-        out = {(): 1}
-        for _ in range(int(val)):
-            out = poly_mul(out, poly)
-        return out
-
-    def parse_index(self, symbol: str) -> Factor:
-        kind, val, pos = self.peek()
-        vars_: list[str] = []
-        if kind == "name":
-            if val not in VARS:
-                raise ParseError(f"unknown index variable {val!r}", pos)
-            self.next()
-            vars_.append(val)
-            if self.peek()[1] == "+" and self.tokens[self.i + 1][1] in VARS:
-                self.next()
-                other = self.next()[1]
-                if other in vars_:
-                    raise ParseError(f"repeated index variable {other!r}", pos)
-                vars_.append(other)
-        offset = 0
-        kind, val, pos = self.peek()
-        if val in ("+", "-"):
-            sign = -1 if val == "-" else 1
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError("expected an integer offset", pos)
-            offset = sign * int(val)
-        elif kind == "int":
-            if vars_:
-                raise ParseError("expected '+', '-' or ')' after index variable", pos)
-            self.next()
-            offset = int(val)
-        elif not vars_:
-            raise ParseError(f"expected an index, found {val or 'end of input'!r}", pos)
-        return (symbol, tuple(sorted(vars_)), offset)
+def _expect(toks: list[str], i: int, value: str) -> int:
+    if toks[i] != value:
+        raise _Fail(f"expected {value!r}, found {toks[i] or 'end of input'!r}", i)
+    return i + 1
 
 
 def parse(text: str) -> IdentityAst:
     """Parse an identity from DSL text; raises ParseError on bad input."""
-    return _Parser(text).parse_identity()
+    toks = _TOKENS.findall(text)
+    if "#" in text:
+        toks = [t for t in toks if t]
+    toks.append("")  # end of input
+    try:
+        lhs, i = _expr(toks, 0)
+        rhs, i = _expr(toks, _expect(toks, i, "="))
+        if toks[i]:
+            raise _Fail(f"unexpected trailing input {toks[i]!r}", i)
+    except _Fail as fail:
+        raise _error(text, *fail.args) from None
+    return identity(lhs, rhs)
+
+
+def _error(text: str, message: str, index: int) -> ParseError:
+    """The ParseError for token ``index``.  Tokens carry no positions, so
+    this scans ``text`` again.  A character outside the grammar, wherever
+    it stands, is reported in place of the syntax error.
+    """
+    pos = len(text)
+    tokens = (m for m in _TOKENS.finditer(text) if m.group(1))
+    for n, m in enumerate(tokens):
+        if not re.match(r"\d|[A-Za-z]|[-+*^()=]", m.group(1)):  # compiled on first error
+            return ParseError(f"unexpected character {m.group(1)!r}", m.start(1))
+        if n == index:
+            pos = m.start(1)
+    return ParseError(message, pos)
+
+
+def _expr(toks: list[str], i: int) -> tuple[dict, int]:
+    """A signed sum of terms, added in place into one dict."""
+    acc: dict = {}
+    get = acc.get
+    sign = -1 if toks[i] == "-" else 1
+    if toks[i] in _SIGNS:
+        i += 1
+    while True:
+        poly, i = _term(toks, i)
+        for m, c in poly.items():
+            acc[m] = get(m, 0) + sign * c
+        if toks[i] not in _SIGNS:
+            return {m: c for m, c in acc.items() if c}, i
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
+
+
+def _term(toks: list[str], i: int) -> tuple[dict, int]:
+    """A product: one coefficient, one exponent per distinct sequence
+    factor, and the parenthesized groups, which alone go through
+    ``poly_mul``.
+    """
+    tok = toks[i]
+    coeff = 1
+    exps: dict = {}
+    groups: list = []
+    if tok.isdecimal():
+        coeff = int(tok)
+        i += 1
+    elif tok in _FACTOR_START:
+        i = _factor(toks, i, exps, groups)
+    else:
+        raise _Fail(f"expected a term, found {tok or 'end of input'!r}", i)
+    while True:
+        tok = toks[i]
+        if tok == "*":
+            i += 1
+            tok = toks[i]
+            if tok.isdecimal():  # liberal: integers allowed mid-product
+                coeff *= int(tok)
+                i += 1
+                continue
+            if tok not in _FACTOR_START:
+                raise _Fail(f"expected a factor after '*', found {tok or 'end of input'!r}", i)
+        elif tok not in _FACTOR_START:  # else juxtaposition, e.g. 2W(r)
+            break
+        i = _factor(toks, i, exps, groups)
+    poly = {tuple(sorted(exps.items())): coeff} if coeff else {}
+    for group, e in groups:
+        for _ in range(e):
+            poly = poly_mul(poly, group)
+    return poly, i
+
+
+def _factor(toks: list[str], i: int, exps: dict, groups: list) -> int:
+    """Add the factor at ``toks[i]`` to a product: a sequence factor to
+    ``exps``, a parenthesized group and its power to ``groups``.
+    """
+    group = None
+    if toks[i] == "(":
+        group, i = _expr(toks, i + 1)
+    else:
+        factor, i = _index(toks, _expect(toks, i + 1, "("), toks[i])
+    i = _expect(toks, i, ")")
+    e = 1
+    if toks[i] == "^":
+        i += 1
+        if not toks[i].isdecimal() or int(toks[i]) < 1:
+            raise _Fail("exponent must be a positive integer", i)
+        e = int(toks[i])
+        i += 1
+    if group is None:
+        exps[factor] = exps.get(factor, 0) + e
+    else:
+        groups.append((group, e))
+    return i
+
+
+def _index(toks: list[str], i: int, symbol: str) -> tuple[Factor, int]:
+    tok = toks[i]
+    vars_: tuple[str, ...] = ()
+    if tok.isalpha() and tok.isascii():
+        if tok not in VARS:
+            raise _Fail(f"unknown index variable {tok!r}", i)
+        vars_ = (tok,)
+        if toks[i + 1] == "+" and toks[i + 2] in VARS:
+            if toks[i + 2] == tok:
+                raise _Fail(f"repeated index variable {tok!r}", i)
+            vars_ = VARS
+            i += 2
+        i += 1
+    tok = toks[i]
+    if tok in _SIGNS:
+        if not toks[i + 1].isdecimal():
+            raise _Fail("expected an integer offset", i + 1)
+        offset = -int(toks[i + 1]) if tok == "-" else int(toks[i + 1])
+        i += 2
+    elif tok.isdecimal():
+        if vars_:
+            raise _Fail("expected '+', '-' or ')' after index variable", i)
+        offset = int(tok)
+        i += 1
+    elif vars_:
+        offset = 0
+    else:
+        raise _Fail(f"expected an index, found {tok or 'end of input'!r}", i)
+    return (symbol, vars_, offset), i
 
 
 # ---------------------------------------------------------------------------

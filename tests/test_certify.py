@@ -22,7 +22,7 @@ from tribkit import (
     term,
     window_bound,
 )
-from tribkit.certify import _grid, _normal_form, _Tables
+from tribkit.certify import Counterexample, _content_free, _grid, _normal_form, _Tables
 from tribkit.dsl import identity, poly_add, poly_mul
 
 from reference import reevaluate
@@ -211,6 +211,29 @@ def test_norm_relation_falls_back_to_grid():
     assert cert.evaluations == 8 * 11 * 3  # the full {0,1}^3 grid
     false = certify(parse(HANKEL_T.replace("= -W(s)", "= W(s)")))
     assert false.verdict == "refuted" and false.method == "grid"
+
+
+def test_common_factor_is_divided_out_only_for_the_zero_test():
+    # W(r)^3 * W(s) divides every monomial; the quotient, Hankel + 1, still
+    # needs the norm relation, so the grid decides, over the undivided diff.
+    lhs, rhs = HANKEL_T.split(" = ")
+    true = parse(f"W(r)^3*{lhs} = W(r)^3*({rhs})")
+    quotient = parse(HANKEL_T.replace("*W(s) = -W(s)", " = -1")).diff()
+    assert sorted(_content_free(true.diff())) == list(quotient)
+    cert = certify(true)
+    assert (cert.verdict, cert.method) == ("verified", "grid")
+    assert cert.windows == {"r": 38, "s": 3} and cert.evaluations == 5**3 * 38 * 3
+    # The sign-flipped mutant: the counterexample and count of the full grid,
+    # whose zero seed point is counted without evaluating (38 * 3 = 114).
+    false = certify(parse(f"W(r)^3*{lhs} = W(r)^3*W(s)"))
+    assert (false.verdict, false.method, false.evaluations) == ("refuted", "grid", 123)
+    assert false.counterexample == Counterexample(seed=(0, 0, 1), r=2, s=2, lhs=-1, rhs=1)
+
+
+def test_single_monomial_refuted_by_grid():
+    cert = certify(parse("W(r)^2*T(s+1) = 0"))
+    assert (cert.verdict, cert.method, cert.evaluations) == ("refuted", "grid", 25)
+    assert cert.counterexample == Counterexample(seed=(0, 0, 1), r=2, s=0, lhs=1, rhs=0)
 
 
 def test_method_reported():

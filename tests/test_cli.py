@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tribkit import load_corpus
+from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, fasteval, load_corpus, term_range
 from tribkit.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -43,6 +43,25 @@ def test_eval_fast_agrees(capsys):
     code, out, _ = run(capsys, "eval", "--seed", "1,2,3", "--range", "-3..6", "--fast")
     _, slow, _ = run(capsys, "eval", "--seed", "1,2,3", "--range", "-3..6")
     assert code == EXIT_OK and out == slow
+
+
+@pytest.mark.parametrize(
+    "seed_args, seed",
+    [
+        (("--seq", "T"), TRIBONACCI),
+        (("--seq", "K"), TRIBONACCI_LUCAS),
+        (("--seed", "-917,44,3051"), SeedVector(-917, 44, 3051)),
+    ],
+)
+@pytest.mark.parametrize("lo, hi", [(-40, 25), (2000, 2100), (-7, -7), (10, 11), (-300, -298)])
+def test_eval_fast_range_matches_term_range(capsys, monkeypatch, seed_args, seed, lo, hi):
+    calls = []
+    fast_term = fasteval.fast_term
+    monkeypatch.setattr(fasteval, "fast_term", lambda w, n: calls.append(n) or fast_term(w, n))
+    code, out, _ = run(capsys, "eval", *seed_args, "--range", f"{lo}..{hi}", "--fast")
+    assert code == EXIT_OK
+    assert [int(line) for line in out.split()] == term_range(seed, lo, hi)
+    assert calls == list(range(lo, min(lo + 3, hi + 1)))  # the recurrence does the rest
 
 
 def test_eval_usage_errors(capsys):

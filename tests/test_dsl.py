@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tribkit import ParseError, degree_profile, load_corpus, parse, render
+from tribkit.dsl import SYMBOLS, identity
 
 
 def test_parse_three_term_recurrence():
@@ -73,6 +76,75 @@ def test_malformed_inputs_raise_positioned_errors(bad):
         parse(bad)
     assert err.value.pos >= 0
     assert "position" in str(err.value)
+
+
+# The exact message and position of each error: callers show them to users.
+ERRORS = [
+    ("", "expected a term, found 'end of input'", 0),
+    ("W(r", "expected ')', found 'end of input'", 3),
+    ("W(r) = ", "expected a term, found 'end of input'", 7),
+    ("= W(r)", "expected a term, found '='", 0),
+    ("W(r)) = 0", "expected '=', found ')'", 4),
+    ("W() = 0", "expected an index, found ')'", 2),
+    ("W(r)^0 = 0", "exponent must be a positive integer", 5),
+    ("W(r)^-2 = 0", "exponent must be a positive integer", 5),
+    ("W(r)^ = 0", "exponent must be a positive integer", 6),
+    ("(W(r))^0 = W(r)", "exponent must be a positive integer", 7),
+    ("2 ** W(r) = 0", "expected a factor after '*', found '*'", 3),
+    ("W(r) = 2*", "expected a factor after '*', found 'end of input'", 9),
+    ("W(r)*W = 0", "expected '(', found '='", 7),
+    ("W(r) + = W(s)", "expected a term, found '='", 7),
+    ("W(r) == 0", "expected a term, found '='", 6),
+    ("W(r-3) = 2W(r) -", "expected a term, found 'end of input'", 16),
+    ("W(r q) = 0", "expected ')', found 'q'", 4),
+    ("W(r = 0", "expected ')', found '='", 4),
+    ("W(r) = W(r) = W(r)", "unexpected trailing input '='", 12),
+    ("W(r) 0", "expected '=', found '0'", 5),
+    ("X(r) = 0", "expected a term, found 'X'", 0),
+    ("W r = 0", "expected '(', found 'r'", 2),
+    ("W(q) = 0", "unknown index variable 'q'", 2),
+    ("W(r+r) = 0", "repeated index variable 'r'", 2),
+    ("W(s+s) = 0", "repeated index variable 's'", 2),
+    ("W(r+x) = 0", "expected an integer offset", 4),
+    ("W(r2) = 0", "expected '+', '-' or ')' after index variable", 3),
+    ("T(\u00e9) = 0", "unexpected character '\u00e9'", 2),
+    # comments
+    ("W(r) = 0 # note\n+ $", "unexpected character '$'", 18),
+    ("W(r) # = 0", "expected '=', found 'end of input'", 10),
+    ("W(r)^0 # zero power = 0", "exponent must be a positive integer", 5),
+    # juxtaposition
+    ("2W(r)W(r+1) 3 = 0", "expected '=', found '3'", 12),
+    ("W(r+s+1)2 = 0", "expected '=', found '2'", 8),
+    ("W(r)(W(s) = 0", "expected ')', found '='", 10),
+    ("2 3 = 0", "expected '=', found '3'", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", ERRORS)
+def test_parse_error_messages_and_positions(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+_factor = st.tuples(
+    st.sampled_from(SYMBOLS),
+    st.sampled_from([(), ("r",), ("s",), ("r", "s")]),
+    st.integers(-30, 30),
+)
+_monomial = st.dictionaries(_factor, st.integers(1, 5), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+_side = st.dictionaries(_monomial, st.integers(-(10**30), 10**30).filter(bool), max_size=4)
+
+
+@given(lhs=_side, rhs=_side)
+def test_round_trip_over_random_canonical_asts(lhs, rhs):
+    ast = identity(lhs, rhs)
+    text = render(ast)
+    assert parse(text) == ast
+    assert render(parse(text)) == text
 
 
 def test_comments_and_whitespace_are_ignored():
