@@ -15,40 +15,38 @@ full grid finds.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
-   (c_0, c_1, c_2) = ``basis_decomposition(n)`` are the coefficients of
-   x^n mod x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1), 1985).  The
-   Hankel matrix A = [T(i+j)] = [[0,1,1],[1,1,2],[1,2,4]] has det -1, so
-   c_i(n) = sum_j A^-1[i][j] T(n+j) with the integer
-   A^-1 = [[0,2,-1],[2,1,-1],[-1,-1,1]].  With window variables
+   c(n) = (c_0, c_1, c_2) = ``basis_decomposition(n)`` are the coefficients
+   of x^n mod x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1), 1985).
+   With window variables
 
        X   = (W(b), W(b+1), W(b+2)) if every W factor contains the
              variable b (r, else s), otherwise the seed (w0, w1, w2),
-       Y_v = (T(v), T(v+1), T(v+2)) for v = r, s,
+       Z_v = c(v) for v = r, s,
 
    every factor is rewritten as a polynomial: W(b+n) = X . c(n) (b = 0
    when X is the seed), and T and K are their seeds in ``NAMED`` dotted
-   with c(n).  The coordinates are
-   c(k) for a constant index, c_i(v+k) = sum_j A^-1[i][j] T(v+k+j) with
-   T(v+m) = c(m) . Y_v (linear in Y_v), and c_i(r+s+k) the same with
-   T(r+s+m) = sum_l c_l(s+m) Y_r,l (bilinear in Y_r and Y_s).  Each
+   with c(n).  Since x^(v+k) = x^v * x^k, the coordinates are c(k) for a
+   constant index, c(v+k) = sum_j Z_v,j c(k+j) (linear in Z_v), and
+   c(r+s+k) = sum_j Z_r,j c(s+k+j) (bilinear in Z_r and Z_s).  Each
    rewrite holds for all integers r, s and every seed, so lhs - rhs equals
    its expansion at the window values everywhere: a zero expansion proves
    the identity.  A nonzero expansion does not disprove it, since the
-   window variables are not independent along the orbit: the Hankel
-   determinant of T is -1 for every v, and an identity that needs this norm
-   relation expands to nonzero.  Such identities go on to step 3.
+   window variables are not independent along the orbit: x^v is a unit,
+   so its norm, a cubic in Z_v, is N(x^v) = 1 for every v, and an identity
+   that needs this norm relation expands to nonzero.  Such identities go on
+   to step 3.
 
    The expansion runs on lhs - rhs = g * h with the common monomial factor
    g (each factor at its least exponent over all monomials) divided out.
    This changes no verdict.  The rewrite is multiplicative (a ring
-   homomorphism from polynomials in the factors to Z[X, Y_r, Y_s]), so
+   homomorphism from polynomials in the factors to Z[X, Z_r, Z_s]), so
    NF(g * h) = NF(g) * NF(h).  Every factor goes to a nonzero polynomial:
    evaluated at the window values of a point (r, s, seed), its image is
    the factor's value there, and every factor is nonzero somewhere.  At
    r = s = 0 a W factor with constant offset k is the seed dotted with
    c(k), and c(k), the unit x^k mod x^3 - x^2 - x - 1, is nonzero; T and
    K are nonzero solutions, which never vanish on three consecutive
-   indices.  Z[X, Y_r, Y_s] is an integral domain, so NF(g) != 0 and
+   indices.  Z[X, Z_r, Z_s] is an integral domain, so NF(g) != 0 and
    NF(g * h) = 0 exactly when NF(h) = 0.  Only this zero test uses the
    quotient h; steps 1 and 3 run on lhs - rhs itself.
 
@@ -89,9 +87,6 @@ from .sequences import NAMED, SeedVector, basis_decomposition, term_range
 
 #: Seed points of the grid checked before the normal form (see step 1).
 _PREFIX = 2
-
-#: A^-1 for the Hankel matrix A = [T(i+j)]: c_i(n) = sum_j A^-1[i][j] T(n+j).
-_A_INV = ((0, 2, -1), (2, 1, -1), (-1, -1, 1))
 
 
 class UnsupportedTerm(ValueError):
@@ -158,12 +153,10 @@ def _check_supported(side: Side) -> None:
 
 
 def _index_bounds(factors: set, ranges: dict[str, range]) -> tuple[int, int]:
-    lo, hi = 0, 0
-    for sym, vs, off in factors:
-        a = off + sum(ranges[v].start for v in vs)
-        b = off + sum(ranges[v][-1] for v in vs)
-        lo, hi = min(lo, a), max(hi, b)
-    return lo, hi
+    """The least and greatest index the factors reach over the r/s ranges."""
+    lows = [off + sum(ranges[v].start for v in vs) for _, vs, off in factors]
+    highs = [off + sum(ranges[v][-1] for v in vs) for _, vs, off in factors]
+    return min(lows, default=0), max(highs, default=0)
 
 
 def _factors(side: Side) -> set:
@@ -251,30 +244,24 @@ def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 def _normal_form(diff: Side) -> dict[int, int]:
     """lhs - rhs expanded over the window variables (module docstring, step 2).
 
-    Keys pack the exponents of X_0..X_2, Y_r,0..Y_r,2, Y_s,0..Y_s,2 in that
+    Keys pack the exponents of X_0..X_2, Z_r,0..Z_r,2, Z_s,0..Z_s,2 in that
     order; the empty dict means the identity holds for all r, s and seeds.
     """
     width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
     x_keys = [1 << (width * i) for i in range(3)]
-    y_keys = {
+    z_keys = {
         v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
     }
     w_vars = [vs for mono, _ in diff for (sym, vs, _), _ in mono if sym == "W"]
     base = next((b for b in VARS if all(b in vs for vs in w_vars)), None)
 
     def coords(vs: tuple[str, ...], k: int) -> list[dict[int, int]]:
-        """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Y."""
+        """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Z."""
         if not vs:
             return [{0: c} if c else {} for c in basis_decomposition(k)]
-        # ts[j] = T(sum(vs) + k + j)
-        if len(vs) == 1:  # T(v+m) = c(m) . Y_v
-            ts = [
-                {y: c for y, c in zip(y_keys[vs[0]], basis_decomposition(k + j)) if c}
-                for j in range(3)
-            ]
-        else:  # T(r+s+m) = sum_l c_l(s+m) Y_r,l
-            ts = [_times_vars(y_keys["r"], coords(("s",), k + j)) for j in range(3)]
-        return [_combine(row, ts) for row in _A_INV]
+        # c(v + m) = sum_j Z_v,j c(m + j)
+        shifted = [coords(vs[1:], k + j) for j in range(3)]
+        return [_times_vars(z_keys[vs[0]], col) for col in zip(*shifted)]
 
     def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
         if sym == "W":

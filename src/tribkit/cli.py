@@ -17,7 +17,7 @@ from .derive import (
     derive_tribonacci_basis,
     template_to_ast,
 )
-from .sequences import NAMED, SeedVector, term, term_range
+from .sequences import NAMED, SeedVector, term_range
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--fast",
         action="store_true",
-        help="use doubling evaluation (a range: for its first three indices)",
+        help="accepted; every eval is O(log |n|)",
     )
 
     p_derive = sub.add_parser("derive", help="derive an addition formula")
@@ -94,23 +94,14 @@ def _cmd_eval(args) -> int:
             return EXIT_USAGE
         seed = SeedVector(*w)
     if args.n is not None:
-        indices = [args.n]
+        values = [fasteval.fast_term(seed, args.n)]
     else:
         lo, _, hi = args.range_.partition("..")
         try:
-            indices = list(range(int(lo), int(hi) + 1))
-        except ValueError:
-            indices = []
-        if not indices:
+            values = term_range(seed, int(lo), int(hi))
+        except ValueError:  # not integers, or LO > HI
             print(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI", file=sys.stderr)
             return EXIT_USAGE
-    if args.fast:  # doubling for the first three indices, then the recurrence
-        head = [fasteval.fast_term(seed, n) for n in indices[:3]]
-        values = head if len(head) < 3 else term_range(SeedVector(*head), 0, len(indices) - 1)
-    elif len(indices) > 1:
-        values = term_range(seed, indices[0], indices[-1])
-    else:
-        values = [term(seed, indices[0])]
     for v in values:
         print(v)
     return EXIT_OK

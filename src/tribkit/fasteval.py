@@ -161,9 +161,8 @@ class BenchRow:
 def bench(
     ns: list[int],
     strategies: tuple[str, ...] = ("iterate", "double", "matrix"),
-    seed: SeedVector = TRIBONACCI,
 ) -> list[BenchRow]:
-    """Time each strategy on each index, verifying agreement first."""
+    """Time each strategy on T(n) for each index n, verifying agreement first."""
     if not ns:
         raise ValueError("bench requires at least one index")
     if not strategies:
@@ -178,7 +177,7 @@ def bench(
         for name in strategies:
             fn = STRATEGIES[name]
             start = time.perf_counter_ns()
-            value = fn(seed, n)
+            value = fn(TRIBONACCI, n)
             timings[name] = time.perf_counter_ns() - start
             results[name] = value
         if len(set(results.values())) != 1:

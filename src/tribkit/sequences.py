@@ -25,9 +25,6 @@ class SeedVector:
     def __iter__(self):
         return iter((self.w0, self.w1, self.w2))
 
-    def __add__(self, other: "SeedVector") -> "SeedVector":
-        return SeedVector(self.w0 + other.w0, self.w1 + other.w1, self.w2 + other.w2)
-
 
 #: The Tribonacci sequence T: 0, 1, 1, 2, 4, 7, 13, ...
 TRIBONACCI = SeedVector(0, 1, 1)
@@ -56,20 +53,25 @@ def term(seed: SeedVector, n: int) -> int:
 
 
 def term_range(seed: SeedVector, lo: int, hi: int) -> list[int]:
-    """Return [W(lo), ..., W(hi)] in one linear pass.
+    """Return [W(lo), ..., W(hi)].
+
+    The first window jumps to lo through the x^n mod f kernel: with
+    c = ``basis_decomposition(lo)``, W(lo+j) = sum_i c_i W(i+j) since
+    x^(lo+j) = x^lo * x^j, and W(0..4) come from the seed by additions.
+    The recurrence gives the rest, so the cost is O(log |lo| + hi - lo)
+    operations; ``term`` stays the linear-time reference.
 
     Raises ValueError if lo > hi.
     """
     if lo > hi:
         raise ValueError(f"term_range: lo ({lo}) must not exceed hi ({hi})")
-    # Window (a, b, c) = (W(lo), W(lo+1), W(lo+2)).
-    a, b, c = seed
-    if lo >= 0:
-        for _ in range(lo):
-            a, b, c = b, c, a + b + c
-    else:
-        for _ in range(-lo):
-            a, b, c = c - b - a, a, b
+    w0, w1, w2 = seed
+    w3 = w0 + w1 + w2
+    w4 = w1 + w2 + w3
+    c0, c1, c2 = basis_decomposition(lo)
+    a = c0 * w0 + c1 * w1 + c2 * w2
+    b = c0 * w1 + c1 * w2 + c2 * w3
+    c = c0 * w2 + c1 * w3 + c2 * w4
     out = []
     for _ in range(hi - lo + 1):
         out.append(a)

@@ -22,7 +22,14 @@ from tribkit import (
     term,
     window_bound,
 )
-from tribkit.certify import Counterexample, _content_free, _grid, _normal_form, _Tables
+from tribkit.certify import (
+    Counterexample,
+    _content_free,
+    _grid,
+    _index_bounds,
+    _normal_form,
+    _Tables,
+)
 from tribkit.dsl import identity, poly_add, poly_mul
 
 from reference import reevaluate
@@ -170,6 +177,14 @@ def test_window_shrink_admits_false_identity():
     assert all(tables.eval_side(ast.diff(), r, 0) == 0 for r in (0, 1))
 
 
+def test_tables_span_only_the_factors_indices():
+    ranges = {"r": range(3), "s": range(1)}
+    assert _index_bounds({("W", ("r",), 20000)}, ranges) == (20000, 20002)
+    assert _index_bounds({("W", ("r",), -5), ("T", ("r", "s"), 4)}, ranges) == (-5, 6)
+    cert = certify(parse("W(r+20000) = W(r+19999) + W(r+19998) + W(r+19997)"))
+    assert (cert.verdict, cert.method) == ("verified", "normal_form")
+
+
 # --- normal form ------------------------------------------------------------
 
 HANKEL_T = (
@@ -205,7 +220,7 @@ def test_normal_form_zero_on_derived_formulas():
 
 def test_norm_relation_falls_back_to_grid():
     # The Hankel determinant of T is -1 at every r, but only along the orbit:
-    # as a polynomial in (T(r), T(r+1), T(r+2)) it is not the constant -1.
+    # as a polynomial in Z_r = basis_decomposition(r) it is -N(x^r), a cubic.
     cert = certify(parse(HANKEL_T))
     assert cert.verdict == "verified" and cert.method == "grid"
     assert cert.evaluations == 8 * 11 * 3  # the full {0,1}^3 grid

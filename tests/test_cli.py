@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, fasteval, load_corpus, term_range
+from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, fasteval, load_corpus, term
 from tribkit.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -55,13 +55,18 @@ def test_eval_fast_agrees(capsys):
 )
 @pytest.mark.parametrize("lo, hi", [(-40, 25), (2000, 2100), (-7, -7), (10, 11), (-300, -298)])
 def test_eval_fast_range_matches_term_range(capsys, monkeypatch, seed_args, seed, lo, hi):
+    code, out, _ = run(capsys, "eval", *seed_args, "--range", f"{lo}..{hi}", "--fast")
+    assert code == EXIT_OK
+    assert [int(line) for line in out.split()] == [term(seed, n) for n in range(lo, hi + 1)]
+    # --fast selects nothing
+    assert run(capsys, "eval", *seed_args, "--range", f"{lo}..{hi}")[1] == out
     calls = []
     fast_term = fasteval.fast_term
     monkeypatch.setattr(fasteval, "fast_term", lambda w, n: calls.append(n) or fast_term(w, n))
-    code, out, _ = run(capsys, "eval", *seed_args, "--range", f"{lo}..{hi}", "--fast")
-    assert code == EXIT_OK
-    assert [int(line) for line in out.split()] == term_range(seed, lo, hi)
-    assert calls == list(range(lo, min(lo + 3, hi + 1)))  # the recurrence does the rest
+    for flags in ((), ("--fast",)):
+        code, out, _ = run(capsys, "eval", *seed_args, "--n", str(hi), *flags)
+        assert code == EXIT_OK and int(out) == term(seed, hi)
+    assert calls == [hi, hi]  # one fast_term call per eval --n
 
 
 def test_eval_usage_errors(capsys):

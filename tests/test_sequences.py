@@ -47,6 +47,10 @@ def test_direct_iteration_example():
 def test_term_range_matches_term():
     seed = SeedVector(2, -1, 5)
     assert term_range(seed, -10, 10) == [term(seed, n) for n in range(-10, 11)]
+    # first windows past the kernel's small-index table, on both sides
+    for w in (seed, TRIBONACCI, SeedVector(-917, 44, 3051), SeedVector(0, 0, 0)):
+        for lo in (63, 64, 70, 1000, 10**4, -63, -64, -70, -1000, -(10**4)):
+            assert term_range(w, lo, lo + 4) == [term(w, n) for n in range(lo, lo + 5)]
 
 
 def test_term_range_singleton_and_order_error():
@@ -67,7 +71,8 @@ def test_three_term_recurrence(seed, n):
 
 @given(seeds, seeds, st.integers(-25, 25))
 def test_linearity_in_seeds(u, v, n):
-    assert term(u + v, n) == term(u, n) + term(v, n)
+    total = SeedVector(u.w0 + v.w0, u.w1 + v.w1, u.w2 + v.w2)
+    assert term(total, n) == term(u, n) + term(v, n)
 
 
 def test_basis_decomposition_small_examples():
