@@ -22,6 +22,7 @@ from .derive import (
     template_to_ast,
 )
 from .dsl import IdentityAst, ParseError, degree_profile, parse, render
+from .numtext import format_int
 from .fasteval import (
     VerificationMismatch,
     bench,
@@ -60,6 +61,7 @@ __all__ = [
     "derive_lucas_basis",
     "derive_tribonacci_basis",
     "fast_term",
+    "format_int",
     "fuzz",
     "load_corpus",
     "matrix_power_term",

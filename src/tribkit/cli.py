@@ -17,6 +17,7 @@ from .derive import (
     derive_tribonacci_basis,
     template_to_ast,
 )
+from .numtext import format_int
 from .sequences import NAMED, SeedVector, term_range
 
 EXIT_OK = 0
@@ -35,7 +36,26 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{what} must be comma-separated integers")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(obj) -> str:
+    """``json.dumps(obj)``, except that every int goes through
+    ``format_int``: one past the int->str digit limit is written as its
+    digit run, still a JSON number, where ``json.dumps`` refuses it.
+    """
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_json_str(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if type(obj) is int:
+        return format_int(obj)
+    return json.dumps(obj)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="tribkit",
         description="Workbench for generalized Tribonacci sequences and identities.",
@@ -81,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--strategies", default="iterate,double,matrix", metavar="S1,S2,..."
     )
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_eval(args) -> int:
@@ -103,7 +123,7 @@ def _cmd_eval(args) -> int:
             print(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI", file=sys.stderr)
             return EXIT_USAGE
     for v in values:
-        print(v)
+        print(format_int(v))
     return EXIT_OK
 
 
@@ -125,7 +145,7 @@ def _cmd_derive(args) -> int:
     print(dsl.render(template_to_ast(template)))
     if args.json:
         print(
-            json.dumps(
+            _json(
                 {
                     "schema": SCHEMA_VERSION,
                     "basis": template.basis,
@@ -142,7 +162,7 @@ def _cmd_derive(args) -> int:
 def _certify_report(ast: dsl.IdentityAst, as_json: bool) -> int:
     cert = certify(ast)
     if as_json:
-        print(json.dumps({"schema": SCHEMA_VERSION, "identity": dsl.render(ast), **cert.to_dict()}))
+        print(_json({"schema": SCHEMA_VERSION, "identity": dsl.render(ast), **cert.to_dict()}))
     else:
         print(f"{cert.verdict}: {dsl.render(ast)}")
         print(
@@ -154,7 +174,7 @@ def _certify_report(ast: dsl.IdentityAst, as_json: bool) -> int:
             c = cert.counterexample
             print(
                 f"  counterexample: seed={c.seed} r={c.r} s={c.s}"
-                f" lhs={c.lhs} rhs={c.rhs}"
+                f" lhs={format_int(c.lhs)} rhs={format_int(c.rhs)}"
             )
     return EXIT_OK if cert.verdict == "verified" else EXIT_REFUTED
 
@@ -263,10 +283,30 @@ def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
-    """The parser and its value-taking flags, built once per process."""
-    parser = _build_parser()
-    return parser, frozenset(_value_flags(parser))
+def _parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], frozenset[str]
+]:
+    """The parser, its subparsers by command and its value-taking flags,
+    built once per process."""
+    parser, subparsers = _build_parser()
+    return parser, subparsers, frozenset(_value_flags(parser))
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with a known command parsed by its own
+    subparser: the top-level parser would only hand the rest of argv to it,
+    at twice the cost.  Leftover arguments give the top-level parser's
+    error, as ``parse_args`` does.
+    """
+    parser, subparsers, _ = _parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:  # no or an unknown command, or a top-level option
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _join_dashed_values(argv: list[str], value_flags: frozenset[str]) -> list[str]:
@@ -298,12 +338,12 @@ def _shield_dashed_identity(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, value_flags = _parser()
+    value_flags = _parser()[2]
     if argv is None:
         argv = sys.argv[1:]
     try:
         argv = _shield_dashed_identity(_join_dashed_values(list(argv), value_flags))
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .dsl import IdentityAst, parse
@@ -24,19 +25,28 @@ class CorpusEntry:
         return parse(self.text)
 
 
-def _default_text() -> str:
-    return resources.files("tribkit.data").joinpath("corpus.txt").read_text(encoding="utf-8")
+@cache
+def _bundled() -> tuple[CorpusEntry, ...]:
+    """The bundled corpus, parsed once per process."""
+    text = resources.files("tribkit.data").joinpath("corpus.txt").read_text(encoding="utf-8")
+    return tuple(_parse_corpus(text))
 
 
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
-    """Load entries from a file, the env override, or the bundled default."""
+    """Load entries from a file, the env override, or the bundled default.
+
+    A file (``path`` or ``TRIBKIT_CORPUS``) is read on every call; the
+    bundled corpus is parsed once.  Each call returns a new list.
+    """
     if path is None:
         path = os.environ.get(ENV_CORPUS_PATH)
     if path is None:
-        text = _default_text()
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        return list(_bundled())
+    with open(path, encoding="utf-8") as f:
+        return _parse_corpus(f.read())
+
+
+def _parse_corpus(text: str) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     pending: tuple[str, str] | None = None
     seen: set[str] = set()

@@ -26,13 +26,19 @@ over that list of strings.  A term gathers its coefficient and one
 exponent per distinct sequence factor; only parenthesized groups are
 multiplied out with ``poly_mul``, and a sum adds its terms into one dict.
 Tokens carry no positions: a ``ParseError`` finds its position by
-scanning the text again, which only errors pay for.
+scanning the text again, which only errors pay for.  A coefficient literal
+may have any length (``numtext.parse_int``); an exponent or index literal
+past the interpreter's int->str digit limit is a ``ParseError``.
+Coefficients render through ``numtext.format_int``, so
+parse(render(x)) == x at any size.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+from .numtext import format_int, parse_int
 
 # A factor is (symbol, vars, offset): vars is (), ("r",), ("s",) or ("r","s").
 Factor = tuple[str, tuple[str, ...], int]
@@ -213,7 +219,7 @@ def _term(toks: list[str], i: int) -> tuple[dict, int]:
     exps: dict = {}
     groups: list = []
     if tok.isdecimal():
-        coeff = int(tok)
+        coeff = parse_int(tok)
         i += 1
     elif tok in _FACTOR_START:
         i = _factor(toks, i, exps, groups)
@@ -225,7 +231,7 @@ def _term(toks: list[str], i: int) -> tuple[dict, int]:
             i += 1
             tok = toks[i]
             if tok.isdecimal():  # liberal: integers allowed mid-product
-                coeff *= int(tok)
+                coeff *= parse_int(tok)
                 i += 1
                 continue
             if tok not in _FACTOR_START:
@@ -253,15 +259,26 @@ def _factor(toks: list[str], i: int, exps: dict, groups: list) -> int:
     e = 1
     if toks[i] == "^":
         i += 1
-        if not toks[i].isdecimal() or int(toks[i]) < 1:
+        e = _small_int(toks, i) if toks[i].isdecimal() else 0
+        if e < 1:
             raise _Fail("exponent must be a positive integer", i)
-        e = int(toks[i])
         i += 1
     if group is None:
         exps[factor] = exps.get(factor, 0) + e
     else:
         groups.append((group, e))
     return i
+
+
+def _small_int(toks: list[str], i: int) -> int:
+    """An exponent or index literal.  Past the interpreter's int->str digit
+    limit ``int`` refuses it, and so does the parser: such a value could
+    not be evaluated anyway.
+    """
+    try:
+        return int(toks[i])
+    except ValueError:
+        raise _Fail("exponent or index literal too long", i) from None
 
 
 def _index(toks: list[str], i: int, symbol: str) -> tuple[Factor, int]:
@@ -281,12 +298,14 @@ def _index(toks: list[str], i: int, symbol: str) -> tuple[Factor, int]:
     if tok in _SIGNS:
         if not toks[i + 1].isdecimal():
             raise _Fail("expected an integer offset", i + 1)
-        offset = -int(toks[i + 1]) if tok == "-" else int(toks[i + 1])
+        offset = _small_int(toks, i + 1)
+        if tok == "-":
+            offset = -offset
         i += 2
     elif tok.isdecimal():
         if vars_:
             raise _Fail("expected '+', '-' or ')' after index variable", i)
-        offset = int(tok)
+        offset = _small_int(toks, i)
         i += 1
     elif vars_:
         offset = 0
@@ -326,11 +345,11 @@ def _render_side(side: Side) -> str:
         mag = abs(coeff)
         body = _render_monomial(mono)
         if not mono:
-            text = str(mag)
+            text = format_int(mag)
         elif mag == 1:
             text = body
         else:
-            text = f"{mag}*{body}"
+            text = f"{format_int(mag)}*{body}"
         if i == 0:
             pieces.append(text if coeff > 0 else f"-{text}")
         else:

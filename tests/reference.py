@@ -1,8 +1,14 @@
-"""Independent reference evaluator for identity sides, shared by the tests.
+"""Independent references shared by the tests.
 
-Built only on ``term``, one call per factor, so it shares no code with the
-certifier's tables; tests compare the library's results against it.
+``reevaluate`` is built only on ``term``, one call per factor, so it shares
+no code with the certifier's tables; tests compare the library's results
+against it.  ``str_unlimited`` is CPython's own int->str with the digit
+limit lifted for that one call, the reference for ``format_int``.
 """
+
+import contextlib
+import decimal
+import sys
 
 from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, term
 
@@ -19,3 +25,27 @@ def reevaluate(side, seed, r, s):
             value *= term(named[sym], index) ** exponent
         total += value
     return total
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the int<->str digit limit inside the block, restore it after."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def str_unlimited(v: int) -> str:
+    """``str(v)`` at any size: the digit limit is lifted only for this call."""
+    with no_digit_limit():
+        return str(v)
+
+
+def interpreter_state():
+    """The settings printing must leave alone: the int->str digit limit and
+    the thread's decimal context (the object and all its fields)."""
+    ctx = decimal.getcontext()
+    return sys.get_int_max_str_digits(), ctx, repr(ctx)

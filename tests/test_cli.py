@@ -2,7 +2,19 @@ import json
 
 import pytest
 
-from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, SeedVector, fasteval, load_corpus, term
+from tribkit import (
+    TRIBONACCI,
+    TRIBONACCI_LUCAS,
+    SeedVector,
+    certify,
+    derive_tribonacci_basis,
+    fasteval,
+    load_corpus,
+    parse,
+    render,
+    template_to_ast,
+    term,
+)
 from tribkit.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -11,6 +23,7 @@ from tribkit.cli import (
     main,
 )
 
+from reference import interpreter_state, no_digit_limit, str_unlimited
 from table1 import K_TABLE
 
 
@@ -69,6 +82,15 @@ def test_eval_fast_range_matches_term_range(capsys, monkeypatch, seed_args, seed
     assert calls == [hi, hi]  # one fast_term call per eval --n
 
 
+def test_eval_past_the_digit_limit(capsys):
+    state = interpreter_state()
+    code, out, err = run(capsys, "eval", "--seed", "1,2,3", "--n", "100000", "--fast")
+    assert interpreter_state() == state
+    assert code == EXIT_OK and err == ""
+    assert len(out) == 26_465 + 1
+    assert out == str_unlimited(fasteval.fast_term(SeedVector(1, 2, 3), 100_000)) + "\n"
+
+
 def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--seq", "T")[0] == EXIT_USAGE
     assert run(capsys, "eval", "--seq", "T", "--range", "oops")[0] == EXIT_USAGE
@@ -99,6 +121,22 @@ def test_derive_lucas_json(capsys):
     assert report["coefficients"] == [[5, 1, 2], [1, -2, 7], [2, 7, 3]]
 
 
+def test_derive_past_the_digit_limit(capsys):
+    template = derive_tribonacci_basis(0, 1, 100_000)
+    state = interpreter_state()
+    code, text, _ = run(capsys, "derive", "--basis", "T", "--offsets", "0,1,100000")
+    assert code == EXIT_OK and interpreter_state() == state
+    assert parse(text) == template_to_ast(template)
+    code, out, _ = run(capsys, "derive", "--basis", "T", "--offsets", "0,1,100000", "--json")
+    assert code == EXIT_OK and interpreter_state() == state
+    assert out.splitlines()[0] == text.strip()
+    with no_digit_limit():
+        report = json.loads(out.splitlines()[1])
+    assert report["coefficients"] == [list(row) for row in template.coeffs]
+    assert report["denominator"] == template.denominator
+    assert max(len(str_unlimited(abs(c))) for row in template.coeffs for c in row) > 4300
+
+
 def test_derive_duplicate_offsets(capsys):
     assert run(capsys, "derive", "--basis", "T", "--offsets", "0,0,1")[0] == EXIT_USAGE
     # dash-led offsets reach the deriver (singular in both bases), not argparse
@@ -123,6 +161,35 @@ def test_certify_refuted_with_counterexample(capsys):
     code, out, _ = run(capsys, "certify", "W(r) = 2*W(r-1)")
     assert code == EXIT_REFUTED
     assert "counterexample" in out
+
+
+def test_certify_counterexample_past_the_digit_limit(capsys):
+    text = "W(r+20000) = 2*W(r)"
+    c = certify(parse(text)).counterexample
+    assert len(str_unlimited(c.lhs)) > 4300
+    state = interpreter_state()
+    code, out, _ = run(capsys, "certify", text)
+    assert code == EXIT_REFUTED and interpreter_state() == state
+    assert out.splitlines()[2] == (
+        f"  counterexample: seed={c.seed} r={c.r} s={c.s}"
+        f" lhs={str_unlimited(c.lhs)} rhs={str_unlimited(c.rhs)}"
+    )
+    code, out, _ = run(capsys, "certify", text, "--json")
+    assert code == EXIT_REFUTED and interpreter_state() == state
+    with no_digit_limit():
+        report = json.loads(out)
+    assert report["counterexample"] == {
+        "seed": list(c.seed), "r": c.r, "s": c.s, "lhs": c.lhs, "rhs": c.rhs
+    }
+
+
+def test_certify_long_coefficient_literal(capsys):
+    big = "7" * 5000
+    code, out, _ = run(capsys, "certify", f"W(r) = {big}*W(r)")
+    assert code == EXIT_REFUTED
+    assert out.startswith(f"refuted: -{'7' * 4999}6*W(r) = 0\n")
+    code, _, err = run(capsys, "certify", f"W(r+{big}) = W(r)")
+    assert code == EXIT_USAGE and "too long" in err
 
 
 def test_certify_json_report(capsys):
@@ -263,3 +330,12 @@ def test_bench_usage_error(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_unrecognized_argument_error(capsys):
+    code, out, err = run(capsys, "eval", "--seq", "T", "--n", "1", "--bogus")
+    assert code == EXIT_USAGE and out == ""
+    assert err == (
+        "usage: tribkit [-h] {eval,derive,certify,corpus,bench} ...\n"
+        "tribkit: error: unrecognized arguments: --bogus\n"
+    )

@@ -42,3 +42,23 @@ def test_corpus_rejects_headerless_identity(tmp_path):
     path.write_text("W(r) = W(r)\n")
     with pytest.raises(ValueError, match="header"):
         load_corpus(str(path))
+
+
+def test_returned_lists_are_independent():
+    first = load_corpus()
+    expected = list(first)
+    first.clear()
+    assert load_corpus() == expected
+    assert load_corpus() is not load_corpus()
+
+
+def test_env_override_after_bundled_call(tmp_path, monkeypatch):
+    bundled = load_corpus()
+    path = tmp_path / "c.txt"
+    path.write_text("# [local] one entry\nW(r) = W(r)\n")
+    monkeypatch.setenv("TRIBKIT_CORPUS", str(path))
+    assert [e.id for e in load_corpus()] == ["local"]
+    path.write_text("# [edited] the file is read again\nW(r) = W(r)\n")
+    assert [e.id for e in load_corpus()] == ["edited"]
+    monkeypatch.delenv("TRIBKIT_CORPUS")
+    assert load_corpus() == bundled

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tribkit import ParseError, degree_profile, load_corpus, parse, render
+from tribkit import (
+    ParseError,
+    degree_profile,
+    derive_tribonacci_basis,
+    load_corpus,
+    parse,
+    render,
+    template_to_ast,
+)
 from tribkit.dsl import SYMBOLS, identity
 
 
@@ -189,3 +197,23 @@ def test_render_is_deterministic_and_reparses():
     ast = parse(text)
     assert parse(render(ast)) == ast
     assert render(parse(render(ast))) == render(ast)
+
+
+@pytest.mark.parametrize("offsets", [(0, 1, 2), (0, 1, 30_000)])
+def test_round_trip_of_derived_formula(offsets):
+    ast = template_to_ast(derive_tribonacci_basis(*offsets))
+    assert parse(render(ast)) == ast
+
+
+def test_long_literals():
+    big = "123456789" * 1000
+    value = 123456789 * (10**9000 - 1) // (10**9 - 1)
+    ast = parse(f"W(r) = {big}*W(r+1) + 2*{big}W(r-1)")
+    assert dict(ast.rhs) == {
+        ((("W", ("r",), -1), 1),): 2 * value,
+        ((("W", ("r",), 1), 1),): value,
+    }
+    assert parse(render(ast)) == ast
+    for text in (f"W(r+{big}) = 0", f"W(r-{big}) = 0", f"W({big}) = 0", f"W(r)^{big} = 0"):
+        with pytest.raises(ParseError, match="too long"):
+            parse(text)
