@@ -4,14 +4,16 @@
 refutes, so a refutation and its counterexample are exactly the ones the
 full grid finds.
 
-1. Grid prefix.  The grid of step 3 runs over its first two seed points,
-   (0, 0, 0) and (0, 0, 1), with the full r/s windows.  Most false
-   identities fail here, before paying for step 2.  One point is not
-   enough: (0, 0, 0) zeroes every W factor.  When every monomial has a W
-   factor, lhs - rhs is 0 at that seed point, which is then counted, not
-   looped: it adds len(r) * len(s) to ``evaluations`` without evaluating.
-   The T and K tables do not depend on the seed, so a grid run builds
-   them once, and only for the symbols that occur.
+1. Probe.  lhs - rhs is evaluated once at a fixed point off the grid:
+   seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3).
+   Every value is a dot product of ``basis_decomposition`` with a seed, so
+   no table is built; a factor's value is computed once per process.  A
+   nonzero value proves the identity false (one nonzero evaluation
+   suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
+   finds the canonical counterexample.  A zero value proves nothing, and
+   step 2 runs.  The probe never verifies: it only
+   orders the work, and true identities never reach the grid unless the
+   normal form cannot decide them.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -36,6 +38,11 @@ full grid finds.
    that needs this norm relation expands to nonzero.  Such identities go on
    to step 3.
 
+   A zero expansion is reported as ``method`` "normal_form".  Its
+   ``evaluations`` is min(2, (d_W+1)^3) * len(r) * len(s), the points of
+   the grid's first two seed points: the grid would find lhs - rhs zero at
+   every one of them.  None of them is evaluated.
+
    The expansion runs on lhs - rhs = g * h with the common monomial factor
    g (each factor at its least exponent over all monomials) divided out.
    This changes no verdict.  The rewrite is multiplicative (a ring
@@ -55,6 +62,9 @@ full grid finds.
    at most one variable of each window into a term, so no exponent exceeds
    the largest monomial degree D of h, and fields of
    D.bit_length() bits never carry: distinct terms never share a key.
+   A factor's expansion depends only on the factor, the base b and the
+   field width, so it is computed once per process and shared; the shared
+   polynomials are never mutated.
 
 3. Grid.  Fix all variables but one, say s.  Every monomial, as a function
    of s, is a product of d sequences satisfying the order-3 recurrence with
@@ -67,9 +77,13 @@ full grid finds.
    the bound over the distinct degrees occurring in s gives the window
    length m(s); same for r.  The dependence on the seeds (w0, w1, w2) is
    polynomial with degree at most d_W in each, so values on the grid
-   {0..d_W}^3 determine it.  The grid resumes at its third seed point, so
-   its verdict, counterexample and evaluation count are those of a full
-   grid run.
+   {0..d_W}^3 determine it.  The grid runs from its first seed point, so
+   its verdict, counterexample and evaluation count are those of the full
+   grid.  The zero seed point zeroes every W factor: when every monomial
+   has one, that seed point is counted, not looped, adding len(r) * len(s)
+   to ``evaluations`` without evaluating.  The T and K tables do not depend
+   on the seed, so a grid run builds them once, and only for the symbols
+   that occur.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -77,24 +91,29 @@ does not satisfy the recurrence, which would break the dimension argument.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from itertools import islice, product
+from functools import lru_cache
+from itertools import product
 from math import comb
+from typing import NamedTuple
 
-from .dsl import SYMBOLS, VARS, IdentityAst, Side, degree_profile
+from .dsl import SYMBOLS, VARS, Factor, IdentityAst, Side, degree_profile
+from .fasteval import matrix_power_term
 from .sequences import NAMED, SeedVector, basis_decomposition, term_range
 
-#: Seed points of the grid checked before the normal form (see step 1).
-_PREFIX = 2
+#: Seed points of the grid whose r/s points a normal-form verdict reports
+#: in ``evaluations`` (module docstring, step 2).
+_NORMAL_FORM_SEED_POINTS = 2
+
+#: The probe point of step 1.
+_PROBE_SEED = SeedVector(2, -3, 5)
+_PROBE_AT = {"r": 7, "s": 11}
 
 
 class UnsupportedTerm(ValueError):
     """Identity contains a bare constant or absolute-index factor."""
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     seed: tuple[int, int, int]
     r: int
     s: int
@@ -102,8 +121,7 @@ class Counterexample:
     rhs: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     verdict: str  # "verified" | "refuted"
     degrees: dict[str, tuple[int, ...]]
     windows: dict[str, int]
@@ -241,6 +259,31 @@ def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=512)
+def _coords(vs: tuple[str, ...], k: int, width: int) -> tuple[dict[int, int], ...]:
+    """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Z.  Shared
+    through the cache: never mutate the result.
+    """
+    if not vs:
+        return tuple({0: c} if c else {} for c in basis_decomposition(k))
+    # c(v + m) = sum_j Z_v,j c(m + j)
+    shifted = [_coords(vs[1:], k + j, width) for j in range(3)]
+    first = 3 * VARS.index(vs[0]) + 3
+    z_keys = [1 << (width * (first + i)) for i in range(3)]
+    return tuple(_times_vars(z_keys, col) for col in zip(*shifted))
+
+
+@lru_cache(maxsize=512)
+def _factor(sym: str, vs: tuple[str, ...], k: int, base: str | None, width: int) -> dict[int, int]:
+    """The factor sym(sum(vs) + k) over the window variables.  Shared
+    through the cache: never mutate the result.
+    """
+    if sym == "W":
+        x_keys = [1 << (width * i) for i in range(3)]
+        return _times_vars(x_keys, _coords(tuple(v for v in vs if v != base), k, width))
+    return _combine(NAMED[sym], _coords(vs, k, width))
+
+
 def _normal_form(diff: Side) -> dict[int, int]:
     """lhs - rhs expanded over the window variables (module docstring, step 2).
 
@@ -248,39 +291,36 @@ def _normal_form(diff: Side) -> dict[int, int]:
     order; the empty dict means the identity holds for all r, s and seeds.
     """
     width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
-    x_keys = [1 << (width * i) for i in range(3)]
-    z_keys = {
-        v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
-    }
     w_vars = [vs for mono, _ in diff for (sym, vs, _), _ in mono if sym == "W"]
     base = next((b for b in VARS if all(b in vs for vs in w_vars)), None)
-
-    def coords(vs: tuple[str, ...], k: int) -> list[dict[int, int]]:
-        """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Z."""
-        if not vs:
-            return [{0: c} if c else {} for c in basis_decomposition(k)]
-        # c(v + m) = sum_j Z_v,j c(m + j)
-        shifted = [coords(vs[1:], k + j) for j in range(3)]
-        return [_times_vars(z_keys[vs[0]], col) for col in zip(*shifted)]
-
-    def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
-        if sym == "W":
-            return _times_vars(x_keys, coords(tuple(v for v in vs if v != base), k))
-        return _combine(NAMED[sym], coords(vs, k))
-
-    factors: dict = {}
     total: dict[int, int] = {}
     get = total.get
     for mono, coeff in diff:
         p = {0: coeff}
-        for f, e in mono:
-            if f not in factors:
-                factors[f] = factor(*f)
+        for (sym, vs, off), e in mono:
+            f = _factor(sym, vs, off, base, width)
             for _ in range(e):
-                p = _mul(p, factors[f])
+                p = _mul(p, f)
         for k, c in p.items():
             total[k] = get(k, 0) + c
     return {k: c for k, c in total.items() if c}
+
+
+@lru_cache(maxsize=512)
+def _probe_value(factor: Factor) -> int:
+    """The factor's value at the probe point (module docstring, step 1)."""
+    sym, vs, off = factor
+    return matrix_power_term(NAMED.get(sym, _PROBE_SEED), off + sum(_PROBE_AT[v] for v in vs))
+
+
+def _probe(diff: Side) -> int:
+    """lhs - rhs at the probe point (module docstring, step 1)."""
+    total = 0
+    for mono, coeff in diff:
+        for f, e in mono:
+            coeff *= _probe_value(f) ** e
+        total += coeff
+    return total
 
 
 def _grid(
@@ -289,8 +329,8 @@ def _grid(
     """Evaluate diff over ``seeds`` x the r/s windows (module docstring, step 3).
 
     Returns the evaluation count and the first point where diff is nonzero.
-    A seed point where every monomial vanishes identically (step 1) counts
-    its r/s points without evaluating them.
+    A seed point where every monomial vanishes identically counts its r/s
+    points without evaluating them.
     """
     ranges = {v: range(windows[v]) for v in VARS}
     factors = _factors(ast.monomials())
@@ -362,26 +402,26 @@ def certify(ast: IdentityAst) -> Certificate:
     )
     if not diff:
         return Certificate(verdict="verified", evaluations=0, method="normal_form", **cert_meta)
+    if not _probe(diff) and not _normal_form(_content_free(diff)):
+        seed_points = min(_NORMAL_FORM_SEED_POINTS, (profile.w_degree + 1) ** 3)
+        return Certificate(
+            verdict="verified",
+            evaluations=seed_points * windows["r"] * windows["s"],
+            method="normal_form",
+            **cert_meta,
+        )
     seeds = product(range(profile.w_degree + 1), repeat=3)
-    evaluations, counterexample = _grid(ast, diff, windows, islice(seeds, _PREFIX))
-    method = "grid"
-    if counterexample is None:
-        if _normal_form(_content_free(diff)):
-            more, counterexample = _grid(ast, diff, windows, seeds)
-            evaluations += more
-        else:
-            method = "normal_form"
+    evaluations, counterexample = _grid(ast, diff, windows, seeds)
     return Certificate(
         verdict="verified" if counterexample is None else "refuted",
         evaluations=evaluations,
-        method=method,
+        method="grid",
         counterexample=counterexample,
         **cert_meta,
     )
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     trials: int
     passes: int
     counterexample: Counterexample | None = None
@@ -393,6 +433,8 @@ class FuzzReport:
 
 def fuzz(ast: IdentityAst, trials: int, rng_seed: int) -> FuzzReport:
     """Randomized spot checks; absolute indices and constants are allowed."""
+    import random
+
     rng = random.Random(rng_seed)
     for i in range(trials):
         seed = SeedVector(*(rng.randint(-1000, 1000) for _ in range(3)))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .dsl import IdentityAst, parse
 
@@ -15,8 +15,7 @@ ENV_CORPUS_PATH = "TRIBKIT_CORPUS"
 _HEADER = re.compile(r"#\s*\[(?P<id>[A-Za-z0-9_-]+)\]\s*(?P<description>.*)")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     id: str
     description: str
     text: str

@@ -19,8 +19,8 @@ Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import dsl
 from .fasteval import matrix_power_term
@@ -38,8 +38,7 @@ class DegenerateOffsets(ValueError):
     """The anchor system for these offsets is singular."""
 
 
-@dataclass(frozen=True)
-class FormulaTemplate:
+class FormulaTemplate(NamedTuple):
     """den * W(r+s) = sum_i (sum_j coeffs[i][j] * B(s+j0+j)) * W(r+offsets[i])
 
     where B is the basis sequence (T or K) and j0 = CANONICAL_BASE[basis].

@@ -36,7 +36,7 @@ parse(render(x)) == x at any size.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtext import format_int, parse_int
 
@@ -90,8 +90,7 @@ def _freeze(poly: dict) -> Side:
 # AST
 
 
-@dataclass(frozen=True)
-class IdentityAst:
+class IdentityAst(NamedTuple):
     """A canonicalized polynomial identity lhs = rhs."""
 
     lhs: Side
@@ -117,8 +116,7 @@ def identity(lhs: dict, rhs: dict) -> IdentityAst:
     return IdentityAst(_freeze(lhs), _freeze(rhs))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-variable degree data used to size certification windows."""
 
     degrees: dict[str, frozenset[int]]

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sequences import TRIBONACCI, SeedVector, basis_decomposition, square_and_shift, term
 
@@ -150,8 +150,7 @@ STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     n: int
     strategy: str
     nanoseconds: int

@@ -8,11 +8,10 @@ exact Python integer arithmetic; no rounding occurs anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SeedVector:
+class SeedVector(NamedTuple):
     """Seed window (W0, W1, W2) of a generalized Tribonacci sequence.
 
     The all-zero seed is permitted; the certifier's seed grids need it.
@@ -21,9 +20,6 @@ class SeedVector:
     w0: int
     w1: int
     w2: int
-
-    def __iter__(self):
-        return iter((self.w0, self.w1, self.w2))
 
 
 #: The Tribonacci sequence T: 0, 1, 1, 2, 4, 7, 13, ...

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations, product
 
@@ -28,11 +29,15 @@ from tribkit.certify import (
     _grid,
     _index_bounds,
     _normal_form,
+    _probe,
     _Tables,
 )
 from tribkit.dsl import identity, poly_add, poly_mul
 
 from reference import reevaluate
+
+# ``tribkit.certify`` is the function; the module holds the internals.
+certify_module = importlib.import_module("tribkit.certify")
 
 THM4 = (
     "W(r)^3 - 4*W(r-1)^3 - 9*W(r-2)^3 - 34*W(r-3)^3 + 24*W(r-4)^3 - 2*W(r-5)^3"
@@ -64,7 +69,7 @@ def test_linear_recurrence_verified():
     assert cert.verdict == "verified"
     assert cert.windows == {"r": 3, "s": 1}
     assert cert.seed_degree == 1
-    assert cert.evaluations == 2 * 3  # the two-point grid prefix times the r window
+    assert cert.evaluations == 2 * 3  # two seed points times the r window
     assert cert.method == "normal_form"
 
 
@@ -311,7 +316,63 @@ def test_certify_matches_full_grid(lhs, rhs, true):
     assert cert.verdict == ("verified" if counterexample is None else "refuted")
     if true:
         assert cert.verdict == "verified"
-    if counterexample is None:
-        assert cert.evaluations <= evaluations
+    if cert.method == "normal_form":
+        seed_points = min(2, (cert.seed_degree + 1) ** 3)
+        assert cert.evaluations == seed_points * cert.windows["r"] * cert.windows["s"]
     else:
         assert cert.evaluations == evaluations and cert.method == "grid"
+
+
+# --- decision order ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["T(r-7)*W(r) = 0", "T(r-7) = T(s-11)"])
+def test_unlucky_probe_still_refutes_canonically(text):
+    # Both vanish at the probe point (r = 7, s = 11), so the normal form
+    # runs first; it is nonzero and the full grid refutes.
+    ast = parse(text)
+    assert _probe(ast.diff()) == 0
+    cert = certify(ast)
+    seeds = product(range(cert.seed_degree + 1), repeat=3)
+    evaluations, counterexample = _grid(ast, ast.diff(), cert.windows, seeds)
+    assert (cert.verdict, cert.method) == ("refuted", "grid")
+    assert (cert.evaluations, cert.counterexample) == (evaluations, counterexample)
+
+
+@pytest.mark.parametrize(
+    "text, evaluations",
+    [
+        (THM4, 2 * 10),
+        ("W(r)^50*(W(r+3) - W(r+2) - W(r+1) - W(r)) = 0", 2756),
+        ("W(r)^200 = W(r)^199*(W(r+3) - W(r+2) - W(r+1))", 40602),
+    ],
+)
+def test_normal_form_verdicts_touch_no_table(monkeypatch, text, evaluations):
+    built = []
+
+    class CountingTables(_Tables):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(certify_module, "_Tables", CountingTables)
+    cert = certify(parse(text))
+    assert (cert.verdict, cert.method, cert.evaluations) == ("verified", "normal_form", evaluations)
+    assert built == []
+    assert certify(parse("W(r) = 2*W(r-1)")).verdict == "refuted"
+    assert len(built) == 1
+
+
+def test_cached_expansions_are_never_mutated():
+    expansions = certify_module._factor
+    expansions.cache_clear()
+    certify_module._coords.cache_clear()
+    fixed = parse(HANKEL_T).diff()
+    before = _normal_form(fixed)
+    identities = [entry.ast() for entry in load_corpus()]
+    asts = identities + [m for ast in identities for m in single_coefficient_mutants(ast)]
+    first = [certify(ast).to_dict() for ast in asts]
+    misses = expansions.cache_info().misses
+    assert [certify(ast).to_dict() for ast in asts] == first
+    assert expansions.cache_info().misses == misses  # every factor expanded once
+    assert _normal_form(fixed) == before
