@@ -7,11 +7,10 @@ full grid finds.
 1. Probe.  lhs - rhs is evaluated once at a fixed point off the grid:
    seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3).
    Every value is a dot product of ``basis_decomposition`` with a seed, so
-   no table is built; a factor's value is computed once per process.  A
-   nonzero value proves the identity false (one nonzero evaluation
-   suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
-   finds the canonical counterexample.  A zero value proves nothing, and
-   step 2 runs.  The probe never verifies: it only
+   no table is built.  A nonzero value proves the identity false (one
+   nonzero evaluation suffices; Schwartz, J. ACM 27(4), 1980), and the
+   grid of step 3 then finds the canonical counterexample.  A zero value
+   proves nothing, and step 2 runs.  The probe never verifies: it only
    orders the work, and true identities never reach the grid unless the
    normal form cannot decide them.
 
@@ -62,9 +61,6 @@ full grid finds.
    at most one variable of each window into a term, so no exponent exceeds
    the largest monomial degree D of h, and fields of
    D.bit_length() bits never carry: distinct terms never share a key.
-   A factor's expansion depends only on the factor, the base b and the
-   field width, so it is computed once per process and shared; the shared
-   polynomials are never mutated.
 
 3. Grid.  Fix all variables but one, say s.  Every monomial, as a function
    of s, is a product of d sequences satisfying the order-3 recurrence with
@@ -91,12 +87,11 @@ does not satisfy the recurrence, which would break the dimension argument.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .dsl import SYMBOLS, VARS, Factor, IdentityAst, Side, degree_profile
+from .dsl import SYMBOLS, VARS, IdentityAst, Side, degree_profile
 from .fasteval import matrix_power_term
 from .sequences import NAMED, SeedVector, basis_decomposition, term_range
 
@@ -231,24 +226,6 @@ def _evaluate(bound: list, r: int, s: int) -> int:
     return total
 
 
-def _times_vars(keys: list[int], polys) -> dict[int, int]:
-    """sum_i polys[i] times the variable packed as keys[i].  The variables
-    are distinct and absent from the polys, so no two terms share a key.
-    """
-    return {k + key: c for key, p in zip(keys, polys) for k, c in p.items()}
-
-
-def _combine(coeffs, polys) -> dict[int, int]:
-    """sum_i coeffs[i] * polys[i], added in place, zeros dropped."""
-    out: dict[int, int] = {}
-    get = out.get
-    for a, p in zip(coeffs, polys):
-        if a:
-            for k, c in p.items():
-                out[k] = get(k, 0) + a * c
-    return {k: c for k, c in out.items() if c}
-
-
 def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     get = out.get
@@ -259,31 +236,6 @@ def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=512)
-def _coords(vs: tuple[str, ...], k: int, width: int) -> tuple[dict[int, int], ...]:
-    """c_0, c_1, c_2 of the index sum(vs) + k as polynomials in Z.  Shared
-    through the cache: never mutate the result.
-    """
-    if not vs:
-        return tuple({0: c} if c else {} for c in basis_decomposition(k))
-    # c(v + m) = sum_j Z_v,j c(m + j)
-    shifted = [_coords(vs[1:], k + j, width) for j in range(3)]
-    first = 3 * VARS.index(vs[0]) + 3
-    z_keys = [1 << (width * (first + i)) for i in range(3)]
-    return tuple(_times_vars(z_keys, col) for col in zip(*shifted))
-
-
-@lru_cache(maxsize=512)
-def _factor(sym: str, vs: tuple[str, ...], k: int, base: str | None, width: int) -> dict[int, int]:
-    """The factor sym(sum(vs) + k) over the window variables.  Shared
-    through the cache: never mutate the result.
-    """
-    if sym == "W":
-        x_keys = [1 << (width * i) for i in range(3)]
-        return _times_vars(x_keys, _coords(tuple(v for v in vs if v != base), k, width))
-    return _combine(NAMED[sym], _coords(vs, k, width))
-
-
 def _normal_form(diff: Side) -> dict[int, int]:
     """lhs - rhs expanded over the window variables (module docstring, step 2).
 
@@ -291,34 +243,56 @@ def _normal_form(diff: Side) -> dict[int, int]:
     order; the empty dict means the identity holds for all r, s and seeds.
     """
     width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
+    x_keys = [1 << (width * i) for i in range(3)]
+    z_keys = {
+        v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
+    }
     w_vars = [vs for mono, _ in diff for (sym, vs, _), _ in mono if sym == "W"]
     base = next((b for b in VARS if all(b in vs for vs in w_vars)), None)
+
+    def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
+        """sym(sum(vs) + k).  Applying c(v + m) = sum_j Z_v,j c(m + j) per
+        variable, the term prod_v Z_v,j_v has the index n = k + sum_v j_v:
+        its coefficient is sym(n), or c_i(n) times X_i for W.
+        """
+        if sym == "W":
+            vs = tuple(v for v in vs if v != base)
+        terms = [(0, k)]  # (key of prod_v Z_v,j_v, n)
+        for v in vs:
+            terms = [(key + z, n + j) for key, n in terms for j, z in enumerate(z_keys[v])]
+        if sym == "W":
+            return {
+                key + x: c for key, n in terms for x, c in zip(x_keys, basis_decomposition(n)) if c
+            }
+        seed = NAMED[sym]
+        return {key: value for key, n in terms if (value := matrix_power_term(seed, n))}
+
+    factors: dict = {}
     total: dict[int, int] = {}
     get = total.get
     for mono, coeff in diff:
         p = {0: coeff}
-        for (sym, vs, off), e in mono:
-            f = _factor(sym, vs, off, base, width)
+        for f, e in mono:
+            if f not in factors:
+                factors[f] = factor(*f)
             for _ in range(e):
-                p = _mul(p, f)
+                p = _mul(p, factors[f])
         for k, c in p.items():
             total[k] = get(k, 0) + c
     return {k: c for k, c in total.items() if c}
 
 
-@lru_cache(maxsize=512)
-def _probe_value(factor: Factor) -> int:
-    """The factor's value at the probe point (module docstring, step 1)."""
-    sym, vs, off = factor
-    return matrix_power_term(NAMED.get(sym, _PROBE_SEED), off + sum(_PROBE_AT[v] for v in vs))
-
-
 def _probe(diff: Side) -> int:
     """lhs - rhs at the probe point (module docstring, step 1)."""
+    values: dict = {}
     total = 0
     for mono, coeff in diff:
         for f, e in mono:
-            coeff *= _probe_value(f) ** e
+            if f not in values:
+                sym, vs, off = f
+                n = off + sum(_PROBE_AT[v] for v in vs)
+                values[f] = matrix_power_term(NAMED.get(sym, _PROBE_SEED), n)
+            coeff *= values[f] ** e
         total += coeff
     return total
 

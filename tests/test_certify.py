@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -363,16 +364,29 @@ def test_normal_form_verdicts_touch_no_table(monkeypatch, text, evaluations):
     assert len(built) == 1
 
 
-def test_cached_expansions_are_never_mutated():
-    expansions = certify_module._factor
-    expansions.cache_clear()
-    certify_module._coords.cache_clear()
+def test_repeated_sweeps_give_identical_certificates():
     fixed = parse(HANKEL_T).diff()
     before = _normal_form(fixed)
     identities = [entry.ast() for entry in load_corpus()]
     asts = identities + [m for ast in identities for m in single_coefficient_mutants(ast)]
     first = [certify(ast).to_dict() for ast in asts]
-    misses = expansions.cache_info().misses
     assert [certify(ast).to_dict() for ast in asts] == first
-    assert expansions.cache_info().misses == misses  # every factor expanded once
     assert _normal_form(fixed) == before
+
+
+def test_certify_keeps_no_expansion_alive():
+    # At offset 2 * 10^5 every coefficient of x^k mod f is about 22 kB, and
+    # the expansion of one r+s factor holds several of them.
+    k = 200_000
+    ast = parse(f"W(r+s+{k}) = W(r+s+{k - 1}) + W(r+s+{k - 2}) + W(r+s+{k - 3})")
+    certify(parse("W(r+1) = W(r) + W(r-1) + W(r-2)"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = certify(ast)
+        assert (cert.verdict, cert.method) == ("verified", "normal_form")
+        del cert
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
