@@ -36,11 +36,26 @@ Hence some diagonal entry W(o), W(o+2), W(o+4) is nonzero (a Hankel H with
 all three zero has two proportional rows), and det R = a * det H != 0, so R
 has a nonzero diagonal entry or q != 0.  The zero seed gives 0.
 
-``mul_count`` counts the big-integer products ``fast_term`` performs: 5 per
-bit of |m| in the kernel and 3 in the finish, so fast_term(seed, 2**k)
-performs 5k + 3.  Products by seed-sized integers are linear in the operand
-size and not counted; ``basis_decomposition`` calls made elsewhere (certify,
-derive) do not count.
+Squares.  Past ``sequences._TOOM4_BITS`` (26,000) bits, both the kernel's
+five squares and the finish's three go through ``sequences._square``:
+Toom-4, which splits an operand into four limbs of k bits, squares the limb
+polynomial at t = 0, 1, -1, 2, -2, 3 and infinity, and interpolates the
+seven coefficients of the square with exact shifts and exact divisions by
+3, 5 and 12 (the formulas are in its docstring).  The limbs are >= 0, so
+every coefficient d_j is >= 0 and every divided quantity is a nonnegative
+multiple of its divisor.  The coefficients of x^m mod f have about
+0.88 m bits for m > 0 and 0.44 |m| bits for m < 0, so the finish's squares
+pass the threshold from n of about 59,000 (n > 0) or -118,000 (n < 0),
+and the kernel's, which square x^(m/2), from twice that.  Below, the
+squares are the plain ``x * x`` products.
+
+``mul_count`` counts the big-integer squares of the algorithm
+``fast_term`` performs: 5 per bit of |m| in the kernel and 3 in the
+finish, so fast_term(seed, 2**k) performs 5k + 3.  A square that Toom-4
+splits still counts once; its seven sub-squares are not counted.  Products
+by seed-sized integers are linear in the operand size and not counted;
+``basis_decomposition`` calls made elsewhere (certify, derive) do not
+count.
 
 ``matrix_power_term`` is the dot product of the seed with
 ``basis_decomposition(n)``, the full square-and-shift to n; it never runs
@@ -54,7 +69,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .sequences import TRIBONACCI, SeedVector, basis_decomposition, square_and_shift, term
+from .sequences import TRIBONACCI, SeedVector, _square, basis_decomposition, square_and_shift, term
 
 _mul_count = 0
 
@@ -101,10 +116,10 @@ def fast_term(seed: SeedVector, n: int) -> int:
     xj, xk = x[j], x[k]
     if p:
         l2 = p * xj + q * xk
-        den, total = a * p, p * (l1 * l1) + l2 * l2 + (p * r - q * q) * (xk * xk)
+        den, total = a * p, p * _square(l1) + _square(l2) + (p * r - q * q) * _square(xk)
     else:
         u, v = xj + xk, xj - xk
-        den, total = 2 * a, 2 * (l1 * l1) + q * (u * u - v * v)
+        den, total = 2 * a, 2 * _square(l1) + q * (_square(u) - _square(v))
     return total // den
 
 

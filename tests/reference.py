@@ -2,8 +2,10 @@
 
 ``reevaluate`` is built only on ``term``, one call per factor, so it shares
 no code with the certifier's tables; tests compare the library's results
-against it.  ``str_unlimited`` is CPython's own int->str with the digit
-limit lifted for that one call, the reference for ``format_int``.
+against it.  ``term_mod`` powers the 3x3 companion matrix modulo a prime,
+so it shares no code with the x^n mod f kernel; it checks terms far beyond
+the reach of ``term``.  ``str_unlimited`` is CPython's own int->str with
+the digit limit lifted for that one call, the reference for ``format_int``.
 """
 
 import contextlib
@@ -25,6 +27,30 @@ def reevaluate(side, seed, r, s):
             value *= term(named[sym], index) ** exponent
         total += value
     return total
+
+
+# [W(t+1), W(t+2), W(t+3)] = M [W(t), W(t+1), W(t+2)], and M^-1 steps back
+_COMPANION = ((0, 1, 0), (0, 0, 1), (1, 1, 1))
+_COMPANION_INV = ((-1, -1, 1), (1, 0, 0), (0, 1, 0))
+
+
+def _matmul_mod(a, b, p):
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(3)) % p for j in range(3)) for i in range(3)
+    )
+
+
+def term_mod(seed, n, p):
+    """W(n) mod p by powering the companion matrix (its inverse for n < 0)."""
+    base = _COMPANION if n >= 0 else _COMPANION_INV
+    power = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    e = abs(n)
+    while e:
+        if e & 1:
+            power = _matmul_mod(power, base, p)
+        base = _matmul_mod(base, base, p)
+        e >>= 1
+    return sum(power[0][j] * seed[j] for j in range(3)) % p
 
 
 @contextlib.contextmanager

@@ -15,7 +15,9 @@ from tribkit import (
     term,
 )
 from tribkit.fasteval import digit_count, mul_count, reset_mul_count
+from tribkit.sequences import _TOOM4_BITS
 
+from reference import term_mod
 from table1 import K_TABLE, T_TABLE
 
 SPECS = [
@@ -58,6 +60,18 @@ def test_matches_iteration_far_out():
             expected = term(seed, n)
             assert fast_term(seed, n) == expected
             assert matrix_power_term(seed, n) == expected
+
+
+@pytest.mark.parametrize("n", [2**17 + 1, -(2**17 + 1), 3 * 10**5, 10**6, -(10**6)])
+def test_big_terms_match_companion_matrix_mod_p(n):
+    # past the Toom-4 threshold: W(n) has about twice the bits of the
+    # finish's operands, and matrix_power_term's kernel squares x^(n/2)
+    p = 2**61 - 1
+    for seed in (TRIBONACCI, TRIBONACCI_LUCAS, SPECS[4]):
+        value = fast_term(seed, n)
+        assert value.bit_length() > 2 * _TOOM4_BITS
+        assert value % p == term_mod(seed, n, p)
+        assert matrix_power_term(seed, n) % p == term_mod(seed, n, p)
 
 
 def test_matches_matrix_power_on_random_indices():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tribkit import (
@@ -10,7 +10,7 @@ from tribkit import (
     term,
     term_range,
 )
-from tribkit.sequences import square_and_shift
+from tribkit.sequences import _TOOM4_BITS, _square, square_and_shift
 
 from table1 import K_TABLE, T_TABLE
 
@@ -116,3 +116,30 @@ def test_kernel_step_is_the_reduced_square(c0, c1, c2):
     s0, s1, s2 = square
     assert square_and_shift(c0, c1, c2, "1", True) == (s2, s0 + s2, s1 + s2)
     assert square_and_shift(c0, c1, c2, "1", False) == (s1 - s0, s2 - s0, s0)
+
+
+@st.composite
+def toom_operands(draw):
+    """Signed operands from just below the Toom-4 threshold to past 16 times
+    it, where the largest evaluations recurse three levels deep."""
+    n = draw(st.integers(_TOOM4_BITS - 64, 17 * _TOOM4_BITS))
+    shape = draw(st.sampled_from(["random", "power_of_two", "all_ones", "short_top_limb"]))
+    if shape == "power_of_two":
+        x = 1 << (n - 1)
+    elif shape == "all_ones":
+        x = (1 << n) - 1
+    else:
+        if shape == "short_top_limb":
+            n += 1 - n % 4  # n = 4k - 3: the top limb has k - 3 bits
+        x = draw(st.randoms(use_true_random=False)).getrandbits(n) | 1 << (n - 1)
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=40, deadline=None)
+@given(toom_operands())
+@example(0)
+@example(-1)
+@example((1 << _TOOM4_BITS) - 1)
+@example(1 << _TOOM4_BITS)
+def test_toom4_square_matches_product(x):
+    assert _square(x) == x * x
