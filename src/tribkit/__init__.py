@@ -5,10 +5,8 @@ certification of linear, quadratic, and cubic identities."""
 from .certify import (
     Certificate,
     Counterexample,
-    FuzzReport,
     UnsupportedTerm,
     certify,
-    fuzz,
     single_coefficient_mutants,
     window_bound,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "Counterexample",
     "DegenerateOffsets",
     "FormulaTemplate",
-    "FuzzReport",
     "IdentityAst",
     "ParseError",
     "SeedVector",
@@ -62,7 +59,6 @@ __all__ = [
     "derive_tribonacci_basis",
     "fast_term",
     "format_int",
-    "fuzz",
     "load_corpus",
     "matrix_power_term",
     "mul_count",

@@ -6,11 +6,11 @@ full grid finds.
 
 1. Probe.  lhs - rhs is evaluated once at a fixed point off the grid:
    seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3).
-   Every value is a dot product of ``basis_decomposition`` with a seed, so
-   no table is built.  A nonzero value proves the identity false (one
-   nonzero evaluation suffices; Schwartz, J. ACM 27(4), 1980), and the
-   grid of step 3 then finds the canonical counterexample.  A zero value
-   proves nothing, and step 2 runs.  The probe never verifies: it only
+   It reads its terms through the grid's lookups and evaluator (step 3).
+   A nonzero value proves the identity false (one nonzero evaluation
+   suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
+   finds the canonical counterexample.  A zero value proves nothing, and
+   step 2 runs.  The probe never verifies: it only
    orders the work, and true identities never reach the grid unless the
    normal form cannot decide them.
 
@@ -77,9 +77,10 @@ full grid finds.
    its verdict, counterexample and evaluation count are those of the full
    grid.  The zero seed point zeroes every W factor: when every monomial
    has one, that seed point is counted, not looped, adding len(r) * len(s)
-   to ``evaluations`` without evaluating.  The T and K tables do not depend
-   on the seed, so a grid run builds them once, and only for the symbols
-   that occur.
+   to ``evaluations`` without evaluating.  No table is built: a point looks
+   its terms up, each computed on first use (``matrix_power_term``), T and K
+   once per grid run and W once per seed point, so a refutation costs only
+   the terms its points read, however long the window.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -91,9 +92,9 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .dsl import SYMBOLS, VARS, IdentityAst, Side, degree_profile
+from .dsl import VARS, IdentityAst, Side, degree_profile
 from .fasteval import matrix_power_term
-from .sequences import NAMED, SeedVector, basis_decomposition, term_range
+from .sequences import NAMED, SeedVector, basis_decomposition
 
 #: Seed points of the grid whose r/s points a normal-form verdict reports
 #: in ``evaluations`` (module docstring, step 2).
@@ -165,50 +166,25 @@ def _check_supported(side: Side) -> None:
                 )
 
 
-def _index_bounds(factors: set, ranges: dict[str, range]) -> tuple[int, int]:
-    """The least and greatest index the factors reach over the r/s ranges."""
-    lows = [off + sum(ranges[v].start for v in vs) for _, vs, off in factors]
-    highs = [off + sum(ranges[v][-1] for v in vs) for _, vs, off in factors]
-    return min(lows, default=0), max(highs, default=0)
+class _Terms(dict):
+    """Values of one sequence by index, each computed on first use."""
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: SeedVector):
+        self.seed = seed
+
+    def __missing__(self, n: int) -> int:
+        self[n] = value = matrix_power_term(self.seed, n)
+        return value
 
 
-def _factors(side: Side) -> set:
-    """The distinct factors of a side."""
-    return {f for mono, _ in side for f, _e in mono}
-
-
-class _Tables:
-    """Sequence values over a contiguous index range, one array per symbol.
-
-    The named sequences among ``symbols`` are tabulated once; ``reseed``
-    replaces only the W array.
-    """
-
-    def __init__(self, lo: int, hi: int, w_seed: SeedVector, symbols=SYMBOLS):
-        self.lo, self.hi = lo, hi
-        self.vals = {sym: term_range(NAMED[sym], lo, hi) for sym in symbols if sym in NAMED}
-        self.reseed(w_seed)
-
-    def reseed(self, w_seed: SeedVector) -> None:
-        self.w_zero = not any(w_seed)
-        # Under the zero seed ``bind`` drops every W monomial, so W is not read.
-        self.vals["W"] = None if self.w_zero else term_range(w_seed, self.lo, self.hi)
-
-    def bind(self, side: Side) -> list:
-        """The side with its table lookups resolved, for ``_evaluate``.
-
-        Under the zero seed every W value is 0, so monomials with a W
-        factor are left out.
-        """
-        lo, vals = self.lo, self.vals
-        return [
-            (coeff, [(vals[sym], off - lo, "r" in vs, "s" in vs, e) for (sym, vs, off), e in mono])
-            for mono, coeff in side
-            if not (self.w_zero and any(sym == "W" for (sym, _, _), _ in mono))
-        ]
-
-    def eval_side(self, side: Side, r: int, s: int) -> int:
-        return _evaluate(self.bind(side), r, s)
+def _bind(side: Side, terms: dict[str, _Terms]) -> list:
+    """The side with each factor's lookup resolved, for ``_evaluate``."""
+    return [
+        (coeff, [(terms[sym], off, "r" in vs, "s" in vs, e) for (sym, vs, off), e in mono])
+        for mono, coeff in side
+    ]
 
 
 def _evaluate(bound: list, r: int, s: int) -> int:
@@ -284,17 +260,8 @@ def _normal_form(diff: Side) -> dict[int, int]:
 
 def _probe(diff: Side) -> int:
     """lhs - rhs at the probe point (module docstring, step 1)."""
-    values: dict = {}
-    total = 0
-    for mono, coeff in diff:
-        for f, e in mono:
-            if f not in values:
-                sym, vs, off = f
-                n = off + sum(_PROBE_AT[v] for v in vs)
-                values[f] = matrix_power_term(NAMED.get(sym, _PROBE_SEED), n)
-            coeff *= values[f] ** e
-        total += coeff
-    return total
+    terms = {sym: _Terms(seed) for sym, seed in {**NAMED, "W": _PROBE_SEED}.items()}
+    return _evaluate(_bind(diff, terms), _PROBE_AT["r"], _PROBE_AT["s"])
 
 
 def _grid(
@@ -303,36 +270,25 @@ def _grid(
     """Evaluate diff over ``seeds`` x the r/s windows (module docstring, step 3).
 
     Returns the evaluation count and the first point where diff is nonzero.
-    A seed point where every monomial vanishes identically counts its r/s
-    points without evaluating them.
+    T and K have one lookup per call, W one per seed point.  When every
+    monomial has a W factor, the zero seed point counts its r/s points
+    without evaluating them.
     """
-    ranges = {v: range(windows[v]) for v in VARS}
-    factors = _factors(ast.monomials())
-    lo, hi = _index_bounds(factors, ranges)
-    symbols = {sym for sym, _, _ in factors}
-    points = windows["r"] * windows["s"]
-    tables = None
+    all_w = all(any(sym == "W" for (sym, _, _), _ in mono) for mono, _ in diff)
+    named = {sym: _Terms(seed) for sym, seed in NAMED.items()}
     evaluations = 0
     for seed in seeds:
-        if tables is None:
-            tables = _Tables(lo, hi, SeedVector(*seed), symbols)
-        else:
-            tables.reseed(SeedVector(*seed))
-        bound = tables.bind(diff)
-        if not bound:
-            evaluations += points
+        if all_w and not any(seed):
+            evaluations += windows["r"] * windows["s"]
             continue
-        for r in ranges["r"]:
-            for s in ranges["s"]:
+        terms = {**named, "W": _Terms(SeedVector(*seed))}
+        bound = _bind(diff, terms)
+        for r in range(windows["r"]):
+            for s in range(windows["s"]):
                 evaluations += 1
                 if _evaluate(bound, r, s) != 0:
-                    return evaluations, Counterexample(
-                        seed=seed,
-                        r=r,
-                        s=s,
-                        lhs=tables.eval_side(ast.lhs, r, s),
-                        rhs=tables.eval_side(ast.rhs, r, s),
-                    )
+                    sides = (_evaluate(_bind(side, terms), r, s) for side in (ast.lhs, ast.rhs))
+                    return evaluations, Counterexample(seed, r, s, *sides)
     return evaluations, None
 
 
@@ -393,38 +349,6 @@ def certify(ast: IdentityAst) -> Certificate:
         counterexample=counterexample,
         **cert_meta,
     )
-
-
-class FuzzReport(NamedTuple):
-    trials: int
-    passes: int
-    counterexample: Counterexample | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-
-def fuzz(ast: IdentityAst, trials: int, rng_seed: int) -> FuzzReport:
-    """Randomized spot checks; absolute indices and constants are allowed."""
-    import random
-
-    rng = random.Random(rng_seed)
-    for i in range(trials):
-        seed = SeedVector(*(rng.randint(-1000, 1000) for _ in range(3)))
-        r = rng.randint(-60, 60)
-        s = rng.randint(-60, 60)
-        point = {"r": range(r, r + 1), "s": range(s, s + 1)}
-        tables = _Tables(*_index_bounds(_factors(ast.monomials()), point), seed)
-        lhs = tables.eval_side(ast.lhs, r, s)
-        rhs = tables.eval_side(ast.rhs, r, s)
-        if lhs != rhs:
-            return FuzzReport(
-                trials=trials,
-                passes=i,
-                counterexample=Counterexample(tuple(seed), r, s, lhs, rhs),
-            )
-    return FuzzReport(trials=trials, passes=trials)
 
 
 def single_coefficient_mutants(ast: IdentityAst):

@@ -29,6 +29,9 @@ Tokens carry no positions: a ``ParseError`` finds its position by
 scanning the text again, which only errors pay for.  A coefficient literal
 may have any length (``numtext.parse_int``); an exponent or index literal
 past the interpreter's int->str digit limit is a ``ParseError``.
+Parentheses nest at most ``MAX_DEPTH`` deep, a sequence factor's own
+included, so the descent (three frames per group) stays far inside the
+interpreter's recursion limit.
 Coefficients render through ``numtext.format_int``, so
 parse(render(x)) == x at any size.
 """
@@ -36,6 +39,7 @@ parse(render(x)) == x at any size.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 from typing import NamedTuple
 
 from .numtext import format_int, parse_int
@@ -49,6 +53,9 @@ Side = tuple[tuple[Monomial, int], ...]
 
 SYMBOLS = ("W", "T", "K")
 VARS = ("r", "s")
+
+#: Deepest parenthesis nesting ``parse`` accepts (module docstring).
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -166,6 +173,11 @@ def parse(text: str) -> IdentityAst:
         toks = [t for t in toks if t]
     toks.append("")  # end of input
     try:
+        if toks.count("(") > MAX_DEPTH:  # one pass, before the descent
+            depths = accumulate((t == "(") - (t == ")") for t in toks)
+            deep = next((i for i, d in enumerate(depths) if d > MAX_DEPTH), None)
+            if deep is not None:
+                raise _Fail(f"parentheses nested deeper than {MAX_DEPTH}", deep)
         lhs, i = _expr(toks, 0)
         rhs, i = _expr(toks, _expect(toks, i, "="))
         if toks[i]:

@@ -14,7 +14,6 @@ from tribkit import (
     certify,
     derive_lucas_basis,
     derive_tribonacci_basis,
-    fuzz,
     load_corpus,
     parse,
     render,
@@ -26,12 +25,13 @@ from tribkit import (
 )
 from tribkit.certify import (
     Counterexample,
+    _bind,
     _content_free,
+    _evaluate,
     _grid,
-    _index_bounds,
     _normal_form,
     _probe,
-    _Tables,
+    _Terms,
 )
 from tribkit.dsl import identity, poly_add, poly_mul
 
@@ -112,37 +112,6 @@ def test_certificate_serializes():
     assert d["seed_degree"] == 0
 
 
-def test_fuzz_valid_identity():
-    report = fuzz(parse("W(r+s) = T(s-1)*W(r-1) + (T(s-1) + T(s-2))*W(r) + T(s)*W(r+1)"), 1000, 42)
-    assert report.ok and report.passes == 1000
-
-
-def test_fuzz_finds_mutant_failure_quickly():
-    bad = parse("253*W(r)^2 - 927*W(r-1)^2 + 2884*W(r-4)^2 - W(r-17)^2 = 0")
-    report = fuzz(bad, 100, 42)
-    assert not report.ok and report.passes < 5
-    c = report.counterexample
-    seed = SeedVector(*c.seed)
-    assert reevaluate(bad.lhs, seed, c.r, c.s) == c.lhs
-    assert reevaluate(bad.rhs, seed, c.r, c.s) == c.rhs
-
-
-def test_fuzz_zero_trials():
-    report = fuzz(parse("W(r) = 0"), 0, 1)
-    assert report.ok and report.trials == 0
-
-
-def test_fuzz_allows_absolute_indices():
-    assert fuzz(parse("T(4) = 4"), 10, 0).ok
-
-
-def test_certify_and_fuzz_agree_on_corpus():
-    for entry in load_corpus()[::7]:
-        ast = entry.ast()
-        assert certify(ast).verdict == "verified"
-        assert fuzz(ast, 50, 3).ok
-
-
 def test_refuted_counterexamples_reproduce():
     for entry in ["eq12", "thm3a", "thm4"]:
         ast = next(e for e in load_corpus() if e.id == entry).ast()
@@ -179,14 +148,11 @@ def test_window_shrink_admits_false_identity():
     assert cert.verdict == "refuted"
     assert cert.windows["r"] == 3
     assert cert.counterexample.r == 2
-    tables = _Tables(-1, 3, SeedVector(0, 0, 0))
-    assert all(tables.eval_side(ast.diff(), r, 0) == 0 for r in (0, 1))
+    bound = _bind(ast.diff(), {"T": _Terms(SeedVector(0, 1, 1))})
+    assert [_evaluate(bound, r, 0) for r in (0, 1, 2)] == [0, 0, 1]
 
 
 def test_tables_span_only_the_factors_indices():
-    ranges = {"r": range(3), "s": range(1)}
-    assert _index_bounds({("W", ("r",), 20000)}, ranges) == (20000, 20002)
-    assert _index_bounds({("W", ("r",), -5), ("T", ("r", "s"), 4)}, ranges) == (-5, 6)
     cert = certify(parse("W(r+20000) = W(r+19999) + W(r+19998) + W(r+19997)"))
     assert (cert.verdict, cert.method) == ("verified", "normal_form")
 
@@ -255,6 +221,24 @@ def test_single_monomial_refuted_by_grid():
     cert = certify(parse("W(r)^2*T(s+1) = 0"))
     assert (cert.verdict, cert.method, cert.evaluations) == ("refuted", "grid", 25)
     assert cert.counterexample == Counterexample(seed=(0, 0, 1), r=2, s=0, lhs=1, rhs=0)
+
+
+@pytest.mark.parametrize(
+    "text, evaluations, counterexample",
+    [
+        # r-window C(3002, 2) = 4,504,501, all counted at the zero seed
+        # point; the seed (0, 0, 1) refutes at its third point.
+        ("W(r)^3000 = 0", 4_504_504, Counterexample(seed=(0, 0, 1), r=2, s=0, lhs=1, rhs=0)),
+        # no W factor, so the zero seed point is evaluated: T(1) = 1
+        ("T(r)^600 = 0", 2, Counterexample(seed=(0, 0, 0), r=1, s=0, lhs=1, rhs=0)),
+    ],
+)
+def test_refutation_reads_only_the_points_it_walks(text, evaluations, counterexample):
+    # The windows are long, but the grid looks up only the terms its
+    # points reach before the counterexample.
+    cert = certify(parse(text))
+    assert (cert.verdict, cert.method, cert.evaluations) == ("refuted", "grid", evaluations)
+    assert cert.counterexample == counterexample
 
 
 def test_method_reported():
@@ -349,19 +333,18 @@ def test_unlucky_probe_still_refutes_canonically(text):
     ],
 )
 def test_normal_form_verdicts_touch_no_table(monkeypatch, text, evaluations):
-    built = []
+    grids = []
 
-    class CountingTables(_Tables):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_grid(*args):
+        grids.append(args)
+        return _grid(*args)
 
-    monkeypatch.setattr(certify_module, "_Tables", CountingTables)
+    monkeypatch.setattr(certify_module, "_grid", counting_grid)
     cert = certify(parse(text))
     assert (cert.verdict, cert.method, cert.evaluations) == ("verified", "normal_form", evaluations)
-    assert built == []
+    assert grids == []
     assert certify(parse("W(r) = 2*W(r-1)")).verdict == "refuted"
-    assert len(built) == 1
+    assert len(grids) == 1
 
 
 def test_repeated_sweeps_give_identical_certificates():

@@ -218,6 +218,14 @@ def test_certify_parse_error(capsys):
     assert code == EXIT_USAGE and "position" in err
 
 
+def test_certify_deep_nesting_is_a_parse_error(capsys):
+    # 332 levels used to overflow the recursion limit: a traceback, exit 1
+    text = "(" * 332 + "W(r)" + ")" * 332 + " = 0"
+    code, out, err = run(capsys, "certify", text)
+    assert code == EXIT_USAGE and out == ""
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_certify_file_not_utf8(tmp_path, capsys):
     path = tmp_path / "identity.txt"
     path.write_bytes(b"W(r) = \xff\xfe W(r)\n")

@@ -11,7 +11,7 @@ from tribkit import (
     render,
     template_to_ast,
 )
-from tribkit.dsl import SYMBOLS, identity
+from tribkit.dsl import MAX_DEPTH, SYMBOLS, identity
 
 
 def test_parse_three_term_recurrence():
@@ -134,6 +134,19 @@ def test_parse_error_messages_and_positions(text, message, pos):
         parse(text)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+def test_nesting_depth_is_bounded():
+    # the sequence factor's own "(" counts: W( is the last of MAX_DEPTH
+    at_limit = "(" * (MAX_DEPTH - 1) + "W(r)" + ")" * (MAX_DEPTH - 1) + " = 0"
+    assert parse(at_limit) == parse("W(r) = 0")
+    with pytest.raises(ParseError) as err:
+        parse("(" * MAX_DEPTH + "W(r)" + ")" * MAX_DEPTH + " = 0")
+    message = f"parentheses nested deeper than {MAX_DEPTH}"
+    assert str(err.value) == f"{message} (at position {MAX_DEPTH + 1})"
+    # many parentheses, none deep
+    siblings = " + ".join(["(W(r))"] * MAX_DEPTH) + " = 0"
+    assert parse(siblings) == parse(f"{MAX_DEPTH}*W(r) = 0")
 
 
 _factor = st.tuples(
