@@ -1,8 +1,8 @@
 """Certification of identities for all integer indices and all seeds.
 
-``certify`` decides lhs = rhs in three steps.  Only the grid (step 3) ever
-refutes, so a refutation and its counterexample are exactly the ones the
-full grid finds.
+``certify`` decides lhs = rhs in three steps.  Only the normal form
+(step 2) ever verifies and only the grid (step 3) ever refutes, so a
+refutation and its counterexample are exactly the ones the full grid finds.
 
 1. Probe.  lhs - rhs is evaluated once at a fixed point off the grid:
    seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3).
@@ -10,9 +10,8 @@ full grid finds.
    A nonzero value proves the identity false (one nonzero evaluation
    suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
    finds the canonical counterexample.  A zero value proves nothing, and
-   step 2 runs.  The probe never verifies: it only
-   orders the work, and true identities never reach the grid unless the
-   normal form cannot decide them.
+   step 2 runs.  The probe never verifies: it only orders the work, and
+   true identities never reach the grid.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -30,37 +29,73 @@ full grid finds.
    constant index, c(v+k) = sum_j Z_v,j c(k+j) (linear in Z_v), and
    c(r+s+k) = sum_j Z_r,j c(s+k+j) (bilinear in Z_r and Z_s).  Each
    rewrite holds for all integers r, s and every seed, so lhs - rhs equals
-   its expansion at the window values everywhere: a zero expansion proves
-   the identity.  A nonzero expansion does not disprove it, since the
-   window variables are not independent along the orbit: x^v is a unit,
-   so its norm, a cubic in Z_v, is N(x^v) = 1 for every v, and an identity
-   that needs this norm relation expands to nonzero.  Such identities go on
-   to step 3.
+   its expansion at the window values everywhere.
 
-   A zero expansion is reported as ``method`` "normal_form".  Its
-   ``evaluations`` is min(2, (d_W+1)^3) * len(r) * len(s), the points of
-   the grid's first two seed points: the grid would find lhs - rhs zero at
-   every one of them.  None of them is evaluated.
+   The window values are not independent along the orbit: x^v is a unit,
+   so its norm from Q(x) = Q[x]/(x^3 - x^2 - x - 1),
+
+       N(c0 + c1 x + c2 x^2) = c0^3 + c0^2 c1 + 3 c0^2 c2 - c0 c1^2
+           - 4 c0 c1 c2 - c0 c2^2 + c1^3 + c1^2 c2 - c1 c2^2 + c2^3,
+
+   is N(Z_v) = 1 for every v.  These are the only relations: the
+   polynomials that vanish at (X, c(r), c(s)) for every integer seed and
+   all r, s form exactly the ideal I = (N(Z_r) - 1, N(Z_s) - 1).  Proof:
+   let a1 be the real root of x^3 - x^2 - x - 1 and a2, a3 the complex
+   pair, so |a1| > 1 > |a2| = |a3| and a1 a2 a3 = 1.  Over the algebraic
+   closure, N(c) = y1 y2 y3 with yi = c0 + c1 ai + c2 ai^2 independent
+   linear forms, so V = {N = 1} is the torus y1 y2 y3 = 1, and c(v) is
+   the point (a1^v, a2^v, a3^v).  A character of V that is trivial on
+   these points is a relation a1^i a2^j a3^k = 1; absolute values give
+   2i = j + k, which leaves (a2/a3)^(j-i) = 1.  The Galois group is S3
+   (the discriminant -44 is not a square), and the transposition fixing
+   a3 would turn a2^n = a3^n into a1^n = a3^n, which |a1| > 1 > |a3|
+   forbids; so j = k = i, and the character is trivial on V.  The c(v)
+   are therefore Zariski-dense in V (nondegenerate recurrences: Everest,
+   van der Poorten, Shparlinski & Ward, Recurrence Sequences, AMS 2003),
+   integer seeds are dense in A^3, and X = M(Z_b) * seed with M(Z_b)
+   unimodular on V, so the points are dense in A^3 x V x V, whose ideal
+   is I.  N - 1 becomes y1 y2 y3 - 1, which is irreducible, so I is prime.
+
+   Under lex order with Z_r,0 and Z_s,0 first, the leading term of
+   N(Z_v) - 1 is Z_v,0^3 with coefficient 1.  The two leading monomials
+   are coprime, so the pair is a Groebner basis of I (Buchberger's first
+   criterion; Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+   ch. 2 par. 9), and the remainder of the expansion on division by it is
+   unique, integral, and zero exactly when the expansion lies in I, that
+   is, exactly when the identity holds.  The division rewrites Z_v,0^3 as
+   Z_v,0^3 - N(Z_v) + 1 until every Z_v,0 exponent is at most 2.  Every
+   term this puts in place of Z_v,0^e has a Z_v,0 exponent below e, so the
+   levels are rewritten highest first, each once, with like terms merged
+   before each level.  A zero remainder is reported as ``method``
+   "normal_form"; a nonzero one proves the identity false, and step 3
+   finds the counterexample.
+
+   A verified identity's ``evaluations`` is min(2, (d_W+1)^3) * len(r) *
+   len(s), the points of the grid's first two seed points: the grid would
+   find lhs - rhs zero at every one of them.  None of them is evaluated.
 
    The expansion runs on lhs - rhs = g * h with the common monomial factor
    g (each factor at its least exponent over all monomials) divided out.
    This changes no verdict.  The rewrite is multiplicative (a ring
    homomorphism from polynomials in the factors to Z[X, Z_r, Z_s]), so
-   NF(g * h) = NF(g) * NF(h).  Every factor goes to a nonzero polynomial:
-   evaluated at the window values of a point (r, s, seed), its image is
-   the factor's value there, and every factor is nonzero somewhere.  At
-   r = s = 0 a W factor with constant offset k is the seed dotted with
-   c(k), and c(k), the unit x^k mod x^3 - x^2 - x - 1, is nonzero; T and
-   K are nonzero solutions, which never vanish on three consecutive
-   indices.  Z[X, Z_r, Z_s] is an integral domain, so NF(g) != 0 and
-   NF(g * h) = 0 exactly when NF(h) = 0.  Only this zero test uses the
-   quotient h; steps 1 and 3 run on lhs - rhs itself.
+   NF(g * h) = NF(g) * NF(h).  No factor goes into I: evaluated at the
+   window values of a point (r, s, seed), its image is the factor's value
+   there, members of I vanish at every such point, and every factor is
+   nonzero somewhere.  At r = s = 0 a W factor with constant offset k is
+   the seed dotted with c(k), and c(k), the unit x^k mod x^3 - x^2 - x - 1,
+   is nonzero; T and K are nonzero solutions, which never vanish on three
+   consecutive indices.  I is prime, so the quotient ring Z[X, Z_r, Z_s]/I
+   is a domain: NF(g) is nonzero there, and g * h reduces to zero exactly
+   when h does.  Only this zero test uses the quotient h; steps 1 and 3
+   run on lhs - rhs itself.
 
    A term of the expansion is keyed by one int with a bit field per window
    variable, so multiplying two terms is one addition.  Every factor puts
    at most one variable of each window into a term, so no exponent exceeds
-   the largest monomial degree D of h, and fields of
-   D.bit_length() bits never carry: distinct terms never share a key.
+   the largest monomial degree D of h, and fields of D.bit_length() bits
+   never carry: distinct terms never share a key.  The reduction keeps
+   this: N is a homogeneous cubic, so a rewrite keeps a term's total degree
+   in the Z_v block or lowers it by 3, and never raises it past D.
 
 3. Grid.  Fix all variables but one, say s.  Every monomial, as a function
    of s, is a product of d sequences satisfying the order-3 recurrence with
@@ -73,14 +108,18 @@ full grid finds.
    the bound over the distinct degrees occurring in s gives the window
    length m(s); same for r.  The dependence on the seeds (w0, w1, w2) is
    polynomial with degree at most d_W in each, so values on the grid
-   {0..d_W}^3 determine it.  The grid runs from its first seed point, so
-   its verdict, counterexample and evaluation count are those of the full
-   grid.  The zero seed point zeroes every W factor: when every monomial
-   has one, that seed point is counted, not looped, adding len(r) * len(s)
-   to ``evaluations`` without evaluating.  No table is built: a point looks
-   its terms up, each computed on first use (``matrix_power_term``), T and K
-   once per grid run and W once per seed point, so a refutation costs only
-   the terms its points read, however long the window.
+   {0..d_W}^3 determine it.  So lhs - rhs vanishes everywhere if it
+   vanishes on the grid; only false identities reach the grid, each is
+   nonzero at some point, and the grid therefore always finds a
+   counterexample (``certify`` raises if it does not).  The grid runs from
+   its first seed point, so its counterexample and evaluation count are
+   those of the full grid.  The zero seed point zeroes every W factor:
+   when every monomial has one, that seed point is counted, not looped,
+   adding len(r) * len(s) to ``evaluations`` without evaluating.  No table
+   is built: a point looks its terms up, each computed on first use
+   (``matrix_power_term``), T and K once per grid run and W once per seed
+   point, so a refutation costs only the terms its points read, however
+   long the window.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -103,6 +142,12 @@ _NORMAL_FORM_SEED_POINTS = 2
 #: The probe point of step 1.
 _PROBE_SEED = SeedVector(2, -3, 5)
 _PROBE_AT = {"r": 7, "s": 11}
+
+#: The norm N(c0 + c1 x + c2 x^2) by exponents of (c0, c1, c2) (step 2).
+_NORM = {
+    (3, 0, 0): 1, (2, 1, 0): 1, (2, 0, 1): 3, (1, 2, 0): -1, (1, 1, 1): -4,
+    (1, 0, 2): -1, (0, 3, 0): 1, (0, 2, 1): 1, (0, 1, 2): -1, (0, 0, 3): 1,
+}
 
 
 class UnsupportedTerm(ValueError):
@@ -213,10 +258,12 @@ def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def _normal_form(diff: Side) -> dict[int, int]:
-    """lhs - rhs expanded over the window variables (module docstring, step 2).
+    """lhs - rhs expanded over the window variables and reduced modulo
+    N(Z_r) - 1 and N(Z_s) - 1 (module docstring, step 2).
 
     Keys pack the exponents of X_0..X_2, Z_r,0..Z_r,2, Z_s,0..Z_s,2 in that
-    order; the empty dict means the identity holds for all r, s and seeds.
+    order; the empty dict means the identity holds for all r, s and seeds,
+    any other result that it is false.
     """
     width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
     x_keys = [1 << (width * i) for i in range(3)]
@@ -255,6 +302,22 @@ def _normal_form(diff: Side) -> dict[int, int]:
                 p = _mul(p, factors[f])
         for k, c in p.items():
             total[k] = get(k, 0) + c
+    total = {k: c for k, c in total.items() if c}
+    if not total:
+        return total
+    get = total.get
+    mask = (1 << width) - 1
+    for z in z_keys.values():
+        # Z_v,0^3 -> Z_v,0^3 - N(Z_v) + 1, by levels of Z_v,0, highest first
+        shift = z[0].bit_length() - 1
+        rule = [(0, 1)]
+        rule += [(sum(a * b for a, b in zip(e, z)), -c) for e, c in _NORM.items() if e[0] < 3]
+        for level in range(max((k >> shift & mask for k in total), default=0), 2, -1):
+            for k in [k for k in total if k >> shift & mask == level]:
+                c = total.pop(k)
+                base = k - 3 * z[0]
+                for key, n in rule:
+                    total[base + key] = get(base + key, 0) + c * n
     return {k: c for k, c in total.items() if c}
 
 
@@ -269,7 +332,9 @@ def _grid(
 ) -> tuple[int, Counterexample | None]:
     """Evaluate diff over ``seeds`` x the r/s windows (module docstring, step 3).
 
-    Returns the evaluation count and the first point where diff is nonzero.
+    Returns the evaluation count and the first point where diff is nonzero,
+    or None for a true identity (which only tests, as the full-grid
+    reference, pass).
     T and K have one lookup per call, W one per seed point.  When every
     monomial has a W factor, the zero seed point counts its r/s points
     without evaluating them.
@@ -342,8 +407,10 @@ def certify(ast: IdentityAst) -> Certificate:
         )
     seeds = product(range(profile.w_degree + 1), repeat=3)
     evaluations, counterexample = _grid(ast, diff, windows, seeds)
+    if counterexample is None:
+        raise RuntimeError("the grid found no counterexample to a false identity")
     return Certificate(
-        verdict="verified" if counterexample is None else "refuted",
+        verdict="refuted",
         evaluations=evaluations,
         method="grid",
         counterexample=counterexample,

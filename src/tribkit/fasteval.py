@@ -184,6 +184,9 @@ def bench(
     unknown = set(strategies) - set(STRATEGIES)
     if unknown:
         raise ValueError(f"unknown strategies: {sorted(unknown)}")
+    repeated = {name for name in strategies if strategies.count(name) > 1}
+    if repeated:
+        raise ValueError(f"repeated strategies: {sorted(repeated)}")
     rows = []
     for n in ns:
         results = {}

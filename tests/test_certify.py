@@ -2,6 +2,7 @@ import importlib
 import random
 import tracemalloc
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from tribkit import (
     window_bound,
 )
 from tribkit.certify import (
+    _NORM,
     Counterexample,
     _bind,
     _content_free,
@@ -33,7 +35,8 @@ from tribkit.certify import (
     _probe,
     _Terms,
 )
-from tribkit.dsl import identity, poly_add, poly_mul
+from tribkit.dsl import VARS, identity, poly_add, poly_mul
+from tribkit.sequences import basis_decomposition
 
 from reference import reevaluate
 
@@ -159,10 +162,16 @@ def test_tables_span_only_the_factors_indices():
 
 # --- normal form ------------------------------------------------------------
 
-HANKEL_T = (
-    "(T(r)*T(r+2)*T(r+4) - T(r)*T(r+3)^2 - T(r+1)^2*T(r+4)"
-    " + 2*T(r+1)*T(r+2)*T(r+3) - T(r+2)^3)*W(s) = -W(s)"
-)
+
+def hankel(seq="T", v="r"):
+    """The 3x3 Hankel determinant of seq at index v, parenthesized."""
+    return (
+        "(T(r)*T(r+2)*T(r+4) - T(r)*T(r+3)^2 - T(r+1)^2*T(r+4)"
+        " + 2*T(r+1)*T(r+2)*T(r+3) - T(r+2)^3)"
+    ).replace("T(", f"{seq}(").replace("(r", f"({v}")
+
+
+HANKEL_T = f"{hankel()}*W(s) = -W(s)"
 
 
 def test_normal_form_zero_on_corpus_nonzero_on_mutants():
@@ -190,26 +199,39 @@ def test_normal_form_zero_on_derived_formulas():
     assert formulas == 2 * 536
 
 
-def test_norm_relation_falls_back_to_grid():
+@pytest.mark.parametrize("v", VARS)
+def test_norm_relation_reduces_to_zero(v):
+    # N(x^v) = 1: the norm of the unit x^v, at its coordinates c(v).
+    norms = {
+        sum(c * prod(map(pow, basis_decomposition(n), e)) for e, c in _NORM.items())
+        for n in range(-30, 31)
+    }
+    assert norms == {1}
+    # The Hankel determinant of T at v expands to exactly -N(Z_v), so this
+    # diff is -(N(Z_v) - 1), which the reduction takes to zero.
+    assert not _normal_form(parse(f"{hankel('T', v)} = -1").diff())
+
+
+def test_norm_relation_decided_by_normal_form():
     # The Hankel determinant of T is -1 at every r, but only along the orbit:
     # as a polynomial in Z_r = basis_decomposition(r) it is -N(x^r), a cubic.
     cert = certify(parse(HANKEL_T))
-    assert cert.verdict == "verified" and cert.method == "grid"
-    assert cert.evaluations == 8 * 11 * 3  # the full {0,1}^3 grid
+    assert (cert.verdict, cert.method) == ("verified", "normal_form")
+    assert cert.evaluations == 2 * 11 * 3
     false = certify(parse(HANKEL_T.replace("= -W(s)", "= W(s)")))
     assert false.verdict == "refuted" and false.method == "grid"
 
 
 def test_common_factor_is_divided_out_only_for_the_zero_test():
-    # W(r)^3 * W(s) divides every monomial; the quotient, Hankel + 1, still
-    # needs the norm relation, so the grid decides, over the undivided diff.
+    # W(r)^3 * W(s) divides every monomial; the normal form decides on the
+    # quotient, Hankel + 1, and the grid refutes over the undivided diff.
     lhs, rhs = HANKEL_T.split(" = ")
     true = parse(f"W(r)^3*{lhs} = W(r)^3*({rhs})")
     quotient = parse(HANKEL_T.replace("*W(s) = -W(s)", " = -1")).diff()
     assert sorted(_content_free(true.diff())) == list(quotient)
     cert = certify(true)
-    assert (cert.verdict, cert.method) == ("verified", "grid")
-    assert cert.windows == {"r": 38, "s": 3} and cert.evaluations == 5**3 * 38 * 3
+    assert (cert.verdict, cert.method) == ("verified", "normal_form")
+    assert cert.windows == {"r": 38, "s": 3} and cert.evaluations == 2 * 38 * 3
     # The sign-flipped mutant: the counterexample and count of the full grid,
     # whose zero seed point is counted without evaluating (38 * 3 = 114).
     false = certify(parse(f"W(r)^3*{lhs} = W(r)^3*W(s)"))
@@ -324,12 +346,25 @@ def test_unlucky_probe_still_refutes_canonically(text):
     assert (cert.evaluations, cert.counterexample) == (evaluations, counterexample)
 
 
+# True identities that need the norm relation N(x^v) = 1.
+NORM_RELATION = [
+    (HANKEL_T, 2 * 11 * 3),
+    (f"{hankel()}^3*W(r)^2*W(s) = -W(r)^2*W(s)", 2 * 28 * 9),
+    (f"{hankel('K')}*W(s) = -44*W(s)", 2 * 11 * 3),
+    (f"{hankel('W')} = {hankel('W', 's')}", 2 * 11 * 11),
+    (f"{hankel()}*{hankel('K', 's')}*W(r+s) = 44*W(r+s)", 2 * 18 * 18),
+]
+
+
 @pytest.mark.parametrize(
     "text, evaluations",
     [
         (THM4, 2 * 10),
         ("W(r)^50*(W(r+3) - W(r+2) - W(r+1) - W(r)) = 0", 2756),
         ("W(r)^200 = W(r)^199*(W(r+3) - W(r+2) - W(r+1))", 40602),
+        *NORM_RELATION,
+        # a reduction that rewrites Z_v,0^3 one term at a time takes seconds
+        (f"{hankel()}^5*W(s) = -W(s)", 2 * 137 * 3),
     ],
 )
 def test_normal_form_verdicts_touch_no_table(monkeypatch, text, evaluations):
@@ -345,6 +380,19 @@ def test_normal_form_verdicts_touch_no_table(monkeypatch, text, evaluations):
     assert grids == []
     assert certify(parse("W(r) = 2*W(r-1)")).verdict == "refuted"
     assert len(grids) == 1
+
+
+@pytest.mark.parametrize("text", [text for text, _ in NORM_RELATION])
+def test_norm_relation_mutants_refuted_as_full_grid(text):
+    mutants = list(single_coefficient_mutants(parse(text)))
+    assert mutants
+    for mutant in mutants:
+        cert = certify(mutant)
+        seeds = product(range(cert.seed_degree + 1), repeat=3)
+        evaluations, counterexample = _grid(mutant, mutant.diff(), cert.windows, seeds)
+        assert counterexample is not None
+        assert (cert.verdict, cert.method) == ("refuted", "grid")
+        assert (cert.evaluations, cert.counterexample) == (evaluations, counterexample)
 
 
 def test_repeated_sweeps_give_identical_certificates():

@@ -334,6 +334,9 @@ def test_bench_csv(capsys):
 def test_bench_usage_error(capsys):
     assert run(capsys, "bench", "--strategies", "double")[0] == EXIT_USAGE
     assert run(capsys, "bench", "--n", "10", "--strategies", "")[0] == EXIT_USAGE
+    code, out, err = run(capsys, "bench", "--n", "1", "--strategies", "iterate,iterate")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "repeated strategies" in err
 
 
 def test_unknown_subcommand(capsys):

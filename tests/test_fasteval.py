@@ -165,3 +165,5 @@ def test_bench_argument_errors():
         bench([10], ())
     with pytest.raises(ValueError):
         bench([10], ("warp",))
+    with pytest.raises(ValueError, match="repeated"):
+        bench([10], ("iterate", "iterate"))
