@@ -28,12 +28,38 @@ EXIT_MISMATCH = 4
 
 SCHEMA_VERSION = 3
 
+#: The one place exit codes 2-4 are decided: each exception a command may
+#: raise, most specific class first, with its exit code and stderr prefix.
+#: Commands return only EXIT_OK or EXIT_REFUTED and raise for the rest.
+_FAILURES = (
+    (dsl.ParseError, EXIT_USAGE, "parse error: "),
+    (UnsupportedTerm, EXIT_UNSUPPORTED, "unsupported: "),
+    (DegenerateOffsets, EXIT_UNSUPPORTED, "degenerate offsets: "),
+    (fasteval.VerificationMismatch, EXIT_MISMATCH, "verification mismatch: "),
+    (ValueError, EXIT_USAGE, ""),
+    (OSError, EXIT_USAGE, ""),
+)
+_FAILURE_TYPES = tuple(cls for cls, _, _ in _FAILURES)
+
+
+class _EntryFailure(Exception):
+    """A table exception in one corpus entry, raised from it with the
+    entry's id: reported as that exception after ``corpus entry <id>: ``."""
+
+
+def _report(exc: Exception, context: str = "") -> int:
+    """Print ``exc`` on stderr under its table prefix; return its exit code."""
+    for cls, code, prefix in _FAILURES:
+        if isinstance(exc, cls):
+            print(f"{context}{prefix}{exc}", file=sys.stderr)
+            return code
+
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} must be comma-separated integers")
+        raise ValueError(f"{what} must be comma-separated integers") from None
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -110,8 +136,7 @@ def _cmd_eval(args) -> int:
     else:
         w = _parse_ints(args.seed, "--seed")
         if len(w) != 3:
-            print("--seed needs three comma-separated integers w0,w1,w2", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--seed needs three comma-separated integers w0,w1,w2")
         seed = SeedVector(*w)
     if args.n is not None:
         values = [fasteval.fast_term(seed, args.n)]
@@ -120,8 +145,7 @@ def _cmd_eval(args) -> int:
         try:
             values = term_range(seed, int(lo), int(hi))
         except ValueError:  # not integers, or LO > HI
-            print(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI") from None
     for v in values:
         print(format_int(v))
     return EXIT_OK
@@ -130,18 +154,13 @@ def _cmd_eval(args) -> int:
 def _cmd_derive(args) -> int:
     offsets = _parse_ints(args.offsets, "--offsets")
     if len(offsets) != 3 or len(set(offsets)) != 3:
-        print("--offsets needs three pairwise distinct integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--offsets needs three pairwise distinct integers")
     fn = (
         derive_tribonacci_basis
         if args.basis == "T"
         else derive_lucas_basis
     )
-    try:
-        template = fn(*offsets)
-    except DegenerateOffsets as exc:
-        print(f"degenerate offsets: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    template = fn(*offsets)
     print(dsl.render(template_to_ast(template)))
     if args.json:
         print(
@@ -185,58 +204,42 @@ def _cmd_certify(args) -> int:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        except ValueError as exc:
-            print(f"cannot read --file {args.file}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        ast = dsl.parse(text)
-    except dsl.ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _certify_report(ast, args.json)
-    except UnsupportedTerm as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        except ValueError as exc:  # not UTF-8
+            raise ValueError(f"cannot read --file {args.file}: {exc}") from None
+    return _certify_report(dsl.parse(text), args.json)
 
 
 def _cmd_corpus(args) -> int:
     if args.mutate is not None and args.mutate < 1:
-        print(f"--mutate K needs K >= 1, got {args.mutate}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--mutate K needs K >= 1, got {args.mutate}")
     try:
         entries = load_corpus(args.path)
     except (OSError, ValueError) as exc:
-        print(f"cannot load corpus: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot load corpus: {exc}") from None
     if args.only:
         wanted = set(args.only)
         entries = [e for e in entries if e.id in wanted]
         missing = wanted - {e.id for e in entries}
         if missing:
-            print(f"unknown corpus ids: {sorted(missing)}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown corpus ids: {sorted(missing)}")
     asts = {}
     for entry in entries:
         try:
             ast = entry.ast()
-        except dsl.ParseError as exc:
-            print(f"corpus entry {entry.id}: parse error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.mutate is not None:
-            mutants = list(single_coefficient_mutants(ast))
-            if not mutants:
-                print(f"corpus entry {entry.id}: no coefficient to mutate", file=sys.stderr)
-                return EXIT_USAGE
-            ast = mutants[(args.mutate - 1) % len(mutants)]
+            if args.mutate is not None:
+                mutants = list(single_coefficient_mutants(ast))
+                if not mutants:
+                    raise ValueError("no coefficient to mutate")
+                ast = mutants[(args.mutate - 1) % len(mutants)]
+        except _FAILURE_TYPES as exc:
+            raise _EntryFailure(entry.id) from exc
         asts[entry.id] = ast
     verdicts = {}
     for entry_id, ast in asts.items():
         try:
             verdicts[entry_id] = certify(ast).verdict
-        except UnsupportedTerm as exc:
-            print(f"corpus entry {entry_id}: unsupported: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+        except _FAILURE_TYPES as exc:
+            raise _EntryFailure(entry_id) from exc
         print(f"{entry_id}: {verdicts[entry_id]}")
     expected = "refuted" if args.mutate is not None else "verified"
     good = sum(1 for v in verdicts.values() if v == expected)
@@ -247,14 +250,7 @@ def _cmd_corpus(args) -> int:
 def _cmd_bench(args) -> int:
     ns = _parse_ints(args.n, "--n")
     strategies = tuple(s for s in args.strategies.split(",") if s)
-    try:
-        rows = fasteval.bench(ns, strategies)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except fasteval.VerificationMismatch as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    rows = fasteval.bench(ns, strategies)
     print("n,strategy,nanoseconds,digits")
     for row in rows:
         print(f"{row.n},{row.strategy},{row.nanoseconds},{row.digits}")
@@ -348,12 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    except _EntryFailure as exc:
+        return _report(exc.__cause__, f"corpus entry {exc}: ")
+    except _FAILURE_TYPES as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

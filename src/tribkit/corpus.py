@@ -45,9 +45,15 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
         return _parse_corpus(f.read())
 
 
+def _dangling(lineno: int, entry_id: str, _description: str) -> ValueError:
+    return ValueError(f"corpus line {lineno}: header [{entry_id}] has no identity")
+
+
 def _parse_corpus(text: str) -> list[CorpusEntry]:
+    """Entries from corpus text: each ``# [id] description`` header is
+    followed by exactly one identity line; other ``#`` lines are comments."""
     entries: list[CorpusEntry] = []
-    pending: tuple[str, str] | None = None
+    pending: tuple[int, str, str] | None = None
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -55,16 +61,20 @@ def _parse_corpus(text: str) -> list[CorpusEntry]:
             continue
         header = _HEADER.match(line)
         if header:
-            pending = (header.group("id"), header.group("description").strip())
+            if pending is not None:
+                raise _dangling(*pending)
+            pending = (lineno, header.group("id"), header.group("description").strip())
             continue
         if line.startswith("#"):
             continue
         if pending is None:
             raise ValueError(f"corpus line {lineno}: identity without an [id] header")
-        entry_id, description = pending
+        _, entry_id, description = pending
         if entry_id in seen:
             raise ValueError(f"corpus line {lineno}: duplicate id {entry_id!r}")
         seen.add(entry_id)
         entries.append(CorpusEntry(id=entry_id, description=description, text=line))
         pending = None
+    if pending is not None:
+        raise _dangling(*pending)
     return entries

@@ -13,6 +13,16 @@ recurrence, is fixed by three consecutive values.  The integer table over
 det M is then reduced by g = gcd(det M, all entries), signed so that the
 denominator |det M| / g is positive.  det M = 0 raises DegenerateOffsets.
 
+Since B(a + b - d) = sum_jk Z_a,j Z_b,k B(j + k - d) with Z_n =
+``basis_decomposition(n)`` and d the anchor shift, M factors as C·H·Dᵀ:
+C has rows Z(o_i), D has rows Z(-o_i), and H = [B(j + k - d)] is the
+basis's Hankel matrix, nonsingular for T and K.  So DegenerateOffsets is
+raised exactly when det C · det D = 0.  A formula exists whenever
+det C != 0, because the W(r + o_i) then span every solution of the
+recurrence; the refusals with det C != 0 = det D are spurious.  Of the
+2,300 triples in [-12, 12], 46 have no formula and 46 more, such as
+(-12, -11, -8), are refused although one exists (in either basis).
+
 Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 {K(s-2), K(s-1), K(s)} for the K basis.
 """

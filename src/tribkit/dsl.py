@@ -18,7 +18,7 @@ Grammar (# starts a comment, whitespace is insignificant):
     term     := [integer ["*"]] factor { ["*"] factor } | integer
     factor   := seq "(" index ")" ["^" posint] | "(" expr ")"
     seq      := "W" | "T" | "K"
-    index    := var ["+" var] [("+"|"-") posint] | ["-"] integer
+    index    := var ["+" var] [("+"|"-") posint] | [("+"|"-")] integer
     var      := "r" | "s"
 
 The parser takes its tokens from one ``re.findall`` pass and descends

@@ -10,12 +10,14 @@ from tribkit import (
     derive_tribonacci_basis,
     fasteval,
     load_corpus,
+    matrix_power_term,
     parse,
     render,
     template_to_ast,
     term,
 )
 from tribkit.cli import (
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_UNSUPPORTED,
@@ -315,6 +317,15 @@ def test_corpus_path_not_utf8(tmp_path, capsys):
     assert code == EXIT_USAGE and out == "" and "cannot load corpus" in err
 
 
+def test_corpus_header_without_identity(tmp_path, capsys):
+    # used to load as ['b'] and report "total: 1/1 verified"
+    path = tmp_path / "c.txt"
+    path.write_text("# [a] one\n# [b] two\nW(r) = W(r)\n# [c] three\n")
+    code, out, err = run(capsys, "corpus", "--path", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "cannot load corpus: corpus line 1: header [a] has no identity\n"
+
+
 def test_corpus_env_override(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c.txt"
     path.write_text("# [bad] local\nW(r) = 2*W(r-1)\n")
@@ -337,6 +348,48 @@ def test_bench_usage_error(capsys):
     code, out, err = run(capsys, "bench", "--n", "1", "--strategies", "iterate,iterate")
     assert (code, out) == (EXIT_USAGE, "")
     assert "repeated strategies" in err
+
+
+CORPUS_FILES = {
+    "broken": "# [broken] local\nW(r) = = W(r)\n",
+    "absolute": "# [absolute] local\nT(0) = 0*W(r)\n",
+    "trivial": "# [trivial] local\nW(r) = W(r)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["certify", "W(r) = = W(r)"], EXIT_USAGE,
+         "parse error: expected a term, found '=' (at position 7)"),
+        (["certify", "T(0) = 0"], EXIT_UNSUPPORTED,
+         "unsupported: absolute-index factor T(0) is outside certify's scope"),
+        (["derive", "--basis", "T", "--offsets", "-4,-1,0"], EXIT_UNSUPPORTED,
+         "degenerate offsets: T-basis anchor system is singular for offsets (-4, -1, 0)"),
+        (["bench", "--n", "5", "--strategies", "iterate,matrix"], EXIT_MISMATCH,
+         "verification mismatch: strategies disagree at n=5: iterate=7, matrix=8"),
+        (["derive", "--basis", "T", "--offsets", "0,0,1"], EXIT_USAGE,
+         "--offsets needs three pairwise distinct integers"),
+        (["certify", "--file", "{tmp}/missing.txt"], EXIT_USAGE,
+         "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+        # corpus reports an entry's failure under its row, after the entry id
+        (["corpus", "--path", "{tmp}/broken"], EXIT_USAGE,
+         "corpus entry broken: parse error: expected a term, found '=' (at position 7)"),
+        (["corpus", "--path", "{tmp}/absolute"], EXIT_UNSUPPORTED,
+         "corpus entry absolute: unsupported: absolute-index factor T(0) is outside certify's scope"),
+        (["corpus", "--path", "{tmp}/trivial", "--mutate", "1"], EXIT_USAGE,
+         "corpus entry trivial: no coefficient to mutate"),
+    ],
+)
+def test_failure_table_rows(tmp_path, capsys, monkeypatch, argv, code, err):
+    for name, text in CORPUS_FILES.items():
+        (tmp_path / name).write_text(text)
+    # a matrix strategy one too high; only bench calls it
+    monkeypatch.setitem(
+        fasteval.STRATEGIES, "matrix", lambda seed, n: matrix_power_term(seed, n) + 1
+    )
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(capsys, *argv) == (code, "", err.format(tmp=tmp_path) + "\n")
 
 
 def test_unknown_subcommand(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tribkit import load_corpus, parse
@@ -41,6 +43,23 @@ def test_corpus_rejects_headerless_identity(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("W(r) = W(r)\n")
     with pytest.raises(ValueError, match="header"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a header followed by another header
+        ("# [a] x\n# [b] y\nW(r) = W(r)\n# [c] z\nW(r) = W(r)\n", "line 1: header [a] has"),
+        # a header at the end of the file, comments and blank lines after it
+        ("# [a] x\nW(r) = W(r)\n\n# [c] z\n# comment\n\n", "line 4: header [c] has"),
+    ],
+    ids=["mid-file", "end-of-file"],
+)
+def test_corpus_rejects_header_without_identity(tmp_path, text, message):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message) + " no identity"):
         load_corpus(str(path))
 
 
