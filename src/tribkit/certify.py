@@ -70,10 +70,6 @@ refutation and its counterexample are exactly the ones the full grid finds.
    "normal_form"; a nonzero one proves the identity false, and step 3
    finds the counterexample.
 
-   A verified identity's ``evaluations`` is min(2, (d_W+1)^3) * len(r) *
-   len(s), the points of the grid's first two seed points: the grid would
-   find lhs - rhs zero at every one of them.  None of them is evaluated.
-
    The expansion runs on lhs - rhs = g * h with the common monomial factor
    g (each factor at its least exponent over all monomials) divided out.
    This changes no verdict.  The rewrite is multiplicative (a ring
@@ -114,12 +110,12 @@ refutation and its counterexample are exactly the ones the full grid finds.
    counterexample (``certify`` raises if it does not).  The grid runs from
    its first seed point, so its counterexample and evaluation count are
    those of the full grid.  The zero seed point zeroes every W factor:
-   when every monomial has one, that seed point is counted, not looped,
-   adding len(r) * len(s) to ``evaluations`` without evaluating.  No table
-   is built: a point looks its terms up, each computed on first use
-   (``matrix_power_term``), T and K once per grid run and W once per seed
-   point, so a refutation costs only the terms its points read, however
-   long the window.
+   when every monomial has one, lhs - rhs is zero there, and the grid
+   skips it.  ``evaluations`` counts the grid points evaluated, so a
+   normal-form verdict reports 0.  No table is built: a point looks its
+   terms up, each computed on first use (``matrix_power_term``), T and K
+   once per grid run and W once per seed point, so a refutation costs only
+   the terms its points read, however long the window.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -134,10 +130,6 @@ from typing import NamedTuple
 from .dsl import VARS, IdentityAst, Side, degree_profile
 from .fasteval import matrix_power_term
 from .sequences import NAMED, SeedVector, basis_decomposition
-
-#: Seed points of the grid whose r/s points a normal-form verdict reports
-#: in ``evaluations`` (module docstring, step 2).
-_NORMAL_FORM_SEED_POINTS = 2
 
 #: The probe point of step 1.
 _PROBE_SEED = SeedVector(2, -3, 5)
@@ -167,7 +159,7 @@ class Certificate(NamedTuple):
     degrees: dict[str, tuple[int, ...]]
     windows: dict[str, int]
     seed_degree: int
-    evaluations: int
+    evaluations: int  # grid points evaluated: 0 for a normal-form verdict
     method: str  # "normal_form" | "grid": the step that decided
     counterexample: Counterexample | None = None
 
@@ -336,15 +328,13 @@ def _grid(
     or None for a true identity (which only tests, as the full-grid
     reference, pass).
     T and K have one lookup per call, W one per seed point.  When every
-    monomial has a W factor, the zero seed point counts its r/s points
-    without evaluating them.
+    monomial has a W factor, the zero seed point is skipped.
     """
     all_w = all(any(sym == "W" for (sym, _, _), _ in mono) for mono, _ in diff)
     named = {sym: _Terms(seed) for sym, seed in NAMED.items()}
     evaluations = 0
     for seed in seeds:
         if all_w and not any(seed):
-            evaluations += windows["r"] * windows["s"]
             continue
         terms = {**named, "W": _Terms(SeedVector(*seed))}
         bound = _bind(diff, terms)
@@ -395,16 +385,8 @@ def certify(ast: IdentityAst) -> Certificate:
         windows=windows,
         seed_degree=profile.w_degree,
     )
-    if not diff:
+    if not diff or not _probe(diff) and not _normal_form(_content_free(diff)):
         return Certificate(verdict="verified", evaluations=0, method="normal_form", **cert_meta)
-    if not _probe(diff) and not _normal_form(_content_free(diff)):
-        seed_points = min(_NORMAL_FORM_SEED_POINTS, (profile.w_degree + 1) ** 3)
-        return Certificate(
-            verdict="verified",
-            evaluations=seed_points * windows["r"] * windows["s"],
-            method="normal_form",
-            **cert_meta,
-        )
     seeds = product(range(profile.w_degree + 1), repeat=3)
     evaluations, counterexample = _grid(ast, diff, windows, seeds)
     if counterexample is None:

@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import dsl, fasteval
-from .certify import UnsupportedTerm, certify, single_coefficient_mutants
+from .certify import UnsupportedTerm, certify
 from .corpus import load_corpus
 from .derive import (
     CANONICAL_BASE,
@@ -26,7 +26,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_MISMATCH = 4
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: The one place exit codes 2-4 are decided: each exception a command may
 #: raise, most specific class first, with its exit code and stderr prefix.
@@ -114,12 +114,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p_corpus = sub.add_parser("corpus", help="certify the bundled identity corpus")
     p_corpus.add_argument("--only", action="append", help="restrict to these ids")
-    p_corpus.add_argument(
-        "--mutate",
-        type=int,
-        metavar="K",
-        help="test hook: bump the K-th coefficient of each entry and expect refuted",
-    )
     p_corpus.add_argument("--path", help="corpus file override")
 
     p_bench = sub.add_parser("bench", help="benchmark evaluation strategies")
@@ -210,8 +204,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.mutate is not None and args.mutate < 1:
-        raise ValueError(f"--mutate K needs K >= 1, got {args.mutate}")
     try:
         entries = load_corpus(args.path)
     except (OSError, ValueError) as exc:
@@ -225,15 +217,9 @@ def _cmd_corpus(args) -> int:
     asts = {}
     for entry in entries:
         try:
-            ast = entry.ast()
-            if args.mutate is not None:
-                mutants = list(single_coefficient_mutants(ast))
-                if not mutants:
-                    raise ValueError("no coefficient to mutate")
-                ast = mutants[(args.mutate - 1) % len(mutants)]
+            asts[entry.id] = entry.ast()
         except _FAILURE_TYPES as exc:
             raise _EntryFailure(entry.id) from exc
-        asts[entry.id] = ast
     verdicts = {}
     for entry_id, ast in asts.items():
         try:
@@ -241,9 +227,8 @@ def _cmd_corpus(args) -> int:
         except _FAILURE_TYPES as exc:
             raise _EntryFailure(entry_id) from exc
         print(f"{entry_id}: {verdicts[entry_id]}")
-    expected = "refuted" if args.mutate is not None else "verified"
-    good = sum(1 for v in verdicts.values() if v == expected)
-    print(f"total: {good}/{len(verdicts)} {expected}")
+    good = sum(1 for v in verdicts.values() if v == "verified")
+    print(f"total: {good}/{len(verdicts)} verified")
     return EXIT_OK if good == len(verdicts) else EXIT_REFUTED
 
 

@@ -1,4 +1,5 @@
-"""Bundled identity corpus: loading and bulk certification."""
+"""Identity corpus: entries loaded from the bundled file, a local file or
+``TRIBKIT_CORPUS``."""
 
 from __future__ import annotations
 

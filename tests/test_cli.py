@@ -118,7 +118,7 @@ def test_derive_lucas_json(capsys):
     code, out, _ = run(capsys, "derive", "--basis", "K", "--offsets", "-1,0,1", "--json")
     assert code == EXIT_OK
     report = json.loads(out.splitlines()[-1])
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["denominator"] == 22
     assert report["coefficients"] == [[5, 1, 2], [1, -2, 7], [2, 7, 3]]
 
@@ -198,14 +198,14 @@ def test_certify_json_report(capsys):
     code, out, _ = run(capsys, "certify", "--json", "W(r) = 2*W(r-1) - W(r-4)")
     report = json.loads(out)
     assert code == EXIT_OK
-    assert report["schema"] == 3 and report["verdict"] == "verified"
+    assert report["schema"] == 4 and report["verdict"] == "verified"
     assert report["windows"] == {"r": 3, "s": 1}
     assert "window_base" not in report
 
 
 def test_certify_text_reports_method(capsys):
     _, out, _ = run(capsys, "certify", "W(r) = 2*W(r-1) - W(r-4)")
-    assert out.splitlines()[1].endswith("evaluations 6 method normal_form")
+    assert out.splitlines()[1].endswith("evaluations 0 method normal_form")
     _, out, _ = run(capsys, "certify", "W(r) = 2*W(r-1)")
     assert out.splitlines()[1].endswith("method grid")
 
@@ -253,18 +253,6 @@ def test_corpus_full_run(capsys):
     assert f"total: {n}/{n} verified" in out
 
 
-def test_corpus_mutation_hook(capsys):
-    code, out, _ = run(capsys, "corpus", "--mutate", "1", "--only", "eq12", "--only", "thm4")
-    assert code == EXIT_OK
-    assert "total: 2/2 refuted" in out
-
-
-def test_corpus_mutate_needs_positive_k(capsys):
-    for k in ("0", "-1"):
-        code, out, err = run(capsys, "corpus", "--mutate", k, "--only", "thm4")
-        assert code == EXIT_USAGE and out == "" and "--mutate" in err
-
-
 def test_corpus_calls_do_not_share_state(capsys):
     for entry_id in ("eq2", "eq7"):
         code, out, _ = run(capsys, "corpus", "--only", entry_id)
@@ -290,13 +278,6 @@ def test_corpus_unsupported_entry(tmp_path, capsys):
     path.write_text("# [absolute] local\nT(0) = 0*W(r)\n")
     code, out, err = run(capsys, "corpus", "--path", str(path))
     assert code == EXIT_UNSUPPORTED and "absolute" in err
-
-
-def test_corpus_mutate_without_coefficients(tmp_path, capsys):
-    path = tmp_path / "c.txt"
-    path.write_text("# [trivial] local\nW(r) = W(r)\n")
-    code, out, err = run(capsys, "corpus", "--path", str(path), "--mutate", "1")
-    assert code == EXIT_USAGE and out == "" and "trivial" in err
 
 
 def test_corpus_unknown_id(capsys):
@@ -353,7 +334,6 @@ def test_bench_usage_error(capsys):
 CORPUS_FILES = {
     "broken": "# [broken] local\nW(r) = = W(r)\n",
     "absolute": "# [absolute] local\nT(0) = 0*W(r)\n",
-    "trivial": "# [trivial] local\nW(r) = W(r)\n",
 }
 
 
@@ -377,8 +357,6 @@ CORPUS_FILES = {
          "corpus entry broken: parse error: expected a term, found '=' (at position 7)"),
         (["corpus", "--path", "{tmp}/absolute"], EXIT_UNSUPPORTED,
          "corpus entry absolute: unsupported: absolute-index factor T(0) is outside certify's scope"),
-        (["corpus", "--path", "{tmp}/trivial", "--mutate", "1"], EXIT_USAGE,
-         "corpus entry trivial: no coefficient to mutate"),
     ],
 )
 def test_failure_table_rows(tmp_path, capsys, monkeypatch, argv, code, err):

@@ -34,7 +34,7 @@ from tribkit import (
 )
 from tribkit.cli import main
 
-GOLDEN = "1dba0edaf0fa6210fc802a74cec2489a9737b6f3116541b9bac93429b952799e"
+GOLDEN = "056398e54ddf81045246a600123fa8dcd1c27472876bd67c946ae454d8b5a4ad"
 
 
 def _inputs():
@@ -63,7 +63,7 @@ def test_certify_reports_match_golden_hash():
     assert digest.hexdigest() == GOLDEN
 
 
-CLI_GOLDEN = "b8e69b5221644ab09b468b8d882ba6b5d0826238a0264f5d2f26e86c09ae9d48"
+CLI_GOLDEN = "98183a9991f90307ae90f082104e6824ad1d81b13a8e95e55020560226894394"
 
 EVAL_SEEDS = (
     ("--seq", "T"),
