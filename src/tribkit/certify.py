@@ -113,9 +113,9 @@ refutation and its counterexample are exactly the ones the full grid finds.
    when every monomial has one, lhs - rhs is zero there, and the grid
    skips it.  ``evaluations`` counts the grid points evaluated, so a
    normal-form verdict reports 0.  No table is built: a point looks its
-   terms up, each computed on first use (``matrix_power_term``), T and K
-   once per grid run and W once per seed point, so a refutation costs only
-   the terms its points read, however long the window.
+   terms up, each computed on first use (``matrix_power_term``) and kept
+   for the rest of its seed point, so a refutation costs only the terms
+   its points read, however long the window.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -216,26 +216,22 @@ class _Terms(dict):
         return value
 
 
-def _bind(side: Side, terms: dict[str, _Terms]) -> list:
-    """The side with each factor's lookup resolved, for ``_evaluate``."""
-    return [
-        (coeff, [(terms[sym], off, "r" in vs, "s" in vs, e) for (sym, vs, off), e in mono])
-        for mono, coeff in side
-    ]
+def _lookups(seed: SeedVector) -> dict[str, _Terms]:
+    """The T, K and W lookups for one seed point, W having ``seed``."""
+    return {sym: _Terms(v) for sym, v in {**NAMED, "W": seed}.items()}
 
 
-def _evaluate(bound: list, r: int, s: int) -> int:
+def _evaluate(side: Side, terms: dict[str, _Terms], r: int, s: int) -> int:
+    """The side's value at (r, s), its terms read from ``terms``."""
     total = 0
-    for coeff, factors in bound:
-        v = coeff
-        for vals, idx, has_r, has_s, e in factors:
-            if has_r:
-                idx += r
-            if has_s:
-                idx += s
-            val = vals[idx]
-            v *= val if e == 1 else val**e
-        total += v
+    for mono, coeff in side:
+        for (sym, vs, off), e in mono:
+            if "r" in vs:
+                off += r
+            if "s" in vs:
+                off += s
+            coeff *= terms[sym][off] ** e
+        total += coeff
     return total
 
 
@@ -315,8 +311,7 @@ def _normal_form(diff: Side) -> dict[int, int]:
 
 def _probe(diff: Side) -> int:
     """lhs - rhs at the probe point (module docstring, step 1)."""
-    terms = {sym: _Terms(seed) for sym, seed in {**NAMED, "W": _PROBE_SEED}.items()}
-    return _evaluate(_bind(diff, terms), _PROBE_AT["r"], _PROBE_AT["s"])
+    return _evaluate(diff, _lookups(_PROBE_SEED), _PROBE_AT["r"], _PROBE_AT["s"])
 
 
 def _grid(
@@ -327,22 +322,20 @@ def _grid(
     Returns the evaluation count and the first point where diff is nonzero,
     or None for a true identity (which only tests, as the full-grid
     reference, pass).
-    T and K have one lookup per call, W one per seed point.  When every
-    monomial has a W factor, the zero seed point is skipped.
+    Each seed point has its own lookups.  When every monomial has a W
+    factor, the zero seed point is skipped.
     """
     all_w = all(any(sym == "W" for (sym, _, _), _ in mono) for mono, _ in diff)
-    named = {sym: _Terms(seed) for sym, seed in NAMED.items()}
     evaluations = 0
     for seed in seeds:
         if all_w and not any(seed):
             continue
-        terms = {**named, "W": _Terms(SeedVector(*seed))}
-        bound = _bind(diff, terms)
+        terms = _lookups(SeedVector(*seed))
         for r in range(windows["r"]):
             for s in range(windows["s"]):
                 evaluations += 1
-                if _evaluate(bound, r, s) != 0:
-                    sides = (_evaluate(_bind(side, terms), r, s) for side in (ast.lhs, ast.rhs))
+                if _evaluate(diff, terms, r, s) != 0:
+                    sides = (_evaluate(side, terms, r, s) for side in (ast.lhs, ast.rhs))
                     return evaluations, Counterexample(seed, r, s, *sides)
     return evaluations, None
 

@@ -1,17 +1,13 @@
-"""Identity corpus: entries loaded from the bundled file, a local file or
-``TRIBKIT_CORPUS``."""
+"""Identity corpus: entries loaded from the bundled file or a local file."""
 
 from __future__ import annotations
 
-import os
 import re
 from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
 from .dsl import IdentityAst, parse
-
-ENV_CORPUS_PATH = "TRIBKIT_CORPUS"
 
 _HEADER = re.compile(r"#\s*\[(?P<id>[A-Za-z0-9_-]+)\]\s*(?P<description>.*)")
 
@@ -33,13 +29,11 @@ def _bundled() -> tuple[CorpusEntry, ...]:
 
 
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
-    """Load entries from a file, the env override, or the bundled default.
+    """Load entries from the file at ``path``, or the bundled corpus if None.
 
-    A file (``path`` or ``TRIBKIT_CORPUS``) is read on every call; the
-    bundled corpus is parsed once.  Each call returns a new list.
+    A file is read on every call; the bundled corpus is parsed once.  Each
+    call returns a new list.
     """
-    if path is None:
-        path = os.environ.get(ENV_CORPUS_PATH)
     if path is None:
         return list(_bundled())
     with open(path, encoding="utf-8") as f:

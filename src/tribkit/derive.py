@@ -13,10 +13,10 @@ recurrence, is fixed by three consecutive values.  The integer table over
 det M is then reduced by g = gcd(det M, all entries), signed so that the
 denominator |det M| / g is positive.  det M = 0 raises DegenerateOffsets.
 
-Since B(a + b - d) = sum_jk Z_a,j Z_b,k B(j + k - d) with Z_n =
-``basis_decomposition(n)`` and d the anchor shift, M factors as C·H·Dᵀ:
-C has rows Z(o_i), D has rows Z(-o_i), and H = [B(j + k - d)] is the
-basis's Hankel matrix, nonsingular for T and K.  So DegenerateOffsets is
+Since B(a + b) = sum_jk Z_a,j Z_b,k B(j + k) with Z_n =
+``basis_decomposition(n)``, M factors as C·H·Dᵀ: C has rows Z(o_i), D has
+rows Z(-o_i), and H = [B(j + k)] is the basis's Hankel matrix, with
+det H = -1 for T and -44 for K.  So DegenerateOffsets is
 raised exactly when det C · det D = 0.  A formula exists whenever
 det C != 0, because the W(r + o_i) then span every solution of the
 recurrence; the refusals with det C != 0 = det D are spurious.  Of the
@@ -38,10 +38,6 @@ from .sequences import NAMED, basis_decomposition
 
 #: Index of the first canonical basis element relative to s, per basis.
 CANONICAL_BASE = {"T": -1, "K": -2}
-
-#: Anchor specialization shift: T anchors solve at s = offset, K anchors at
-#: s = offset - 1 (the K Casorati diagonal K(-1) = -1 is nonzero, T(0) is 0).
-_ANCHOR_SHIFT = {"T": 0, "K": 1}
 
 
 class DegenerateOffsets(ValueError):
@@ -67,14 +63,11 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
         raise ValueError(f"offsets must be pairwise distinct, got {offsets}")
     offsets = tuple(sorted(offsets))
     seed = NAMED[basis]
-    delta = _ANCHOR_SHIFT[basis]
     base = CANONICAL_BASE[basis]
-    # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j] - delta)
-    # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j.
-    m = [
-        [matrix_power_term(seed, oi - oj - delta) for oj in offsets]
-        for oi in offsets
-    ]
+    # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j])
+    # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j.  It is
+    # inverted by cofactors, so det M != 0 is all it needs (module docstring).
+    m = [[matrix_power_term(seed, oi - oj) for oj in offsets] for oi in offsets]
     # cof[i][j] is the cofactor of M[i][j], so (M^-1)[j][i] = cof[i][j] / det.
     cof = [
         [
@@ -89,9 +82,9 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
         raise DegenerateOffsets(
             f"{basis}-basis anchor system is singular for offsets {offsets}"
         )
-    # Coefficient of W(r+offsets[i]) is sum_j cof[i][j] * B(s - offsets[j] - delta)
+    # Coefficient of W(r+offsets[i]) is sum_j cof[i][j] * B(s - offsets[j])
     # over det.  Rewrite anchors into the canonical basis.
-    coords = [basis_decomposition(-oj - delta - base) for oj in offsets]
+    coords = [basis_decomposition(-oj - base) for oj in offsets]
     table = [
         [sum(cof[i][j] * coords[j][col] for j in range(3)) for col in range(3)]
         for i in range(3)

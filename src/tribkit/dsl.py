@@ -31,7 +31,12 @@ may have any length (``numtext.parse_int``); an exponent or index literal
 past the interpreter's int->str digit limit is a ``ParseError``.
 Parentheses nest at most ``MAX_DEPTH`` deep, a sequence factor's own
 included, so the descent (three frames per group) stays far inside the
-interpreter's recursion limit.
+interpreter's recursion limit.  Multiplying out groups costs one monomial
+product per pair of monomials, len(a) * len(b) for ``poly_mul(a, b)``; one
+``parse`` call spends at most ``MAX_PRODUCTS`` of them, nested groups
+included, and a group that would pass it is a ``ParseError`` at its
+opening parenthesis.  A short text can otherwise ask for a huge expansion:
+(W(r) + ... + W(r+7))^12 is 604,656 products and 50,388 monomials.
 Coefficients render through ``numtext.format_int``, so
 parse(render(x)) == x at any size.
 """
@@ -43,6 +48,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .numtext import format_int, parse_int
+from .sequences import NAMED
 
 # A factor is (symbol, vars, offset): vars is (), ("r",), ("s",) or ("r","s").
 Factor = tuple[str, tuple[str, ...], int]
@@ -51,11 +57,15 @@ Monomial = tuple[tuple[Factor, int], ...]
 # A side of an identity: sorted ((monomial, coefficient), ...) with no zeros.
 Side = tuple[tuple[Monomial, int], ...]
 
-SYMBOLS = ("W", "T", "K")
+SYMBOLS = ("W", *NAMED)
 VARS = ("r", "s")
 
 #: Deepest parenthesis nesting ``parse`` accepts (module docstring).
 MAX_DEPTH = 100
+
+#: Most monomial products one ``parse`` call spends multiplying out groups
+#: (module docstring).
+MAX_PRODUCTS = 250_000
 
 
 class ParseError(ValueError):
@@ -178,8 +188,9 @@ def parse(text: str) -> IdentityAst:
             deep = next((i for i, d in enumerate(depths) if d > MAX_DEPTH), None)
             if deep is not None:
                 raise _Fail(f"parentheses nested deeper than {MAX_DEPTH}", deep)
-        lhs, i = _expr(toks, 0)
-        rhs, i = _expr(toks, _expect(toks, i, "="))
+        spent = [0]  # monomial products so far, shared by every group
+        lhs, i = _expr(toks, 0, spent)
+        rhs, i = _expr(toks, _expect(toks, i, "="), spent)
         if toks[i]:
             raise _Fail(f"unexpected trailing input {toks[i]!r}", i)
     except _Fail as fail:
@@ -202,7 +213,7 @@ def _error(text: str, message: str, index: int) -> ParseError:
     return ParseError(message, pos)
 
 
-def _expr(toks: list[str], i: int) -> tuple[dict, int]:
+def _expr(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
     """A signed sum of terms, added in place into one dict."""
     acc: dict = {}
     get = acc.get
@@ -210,7 +221,7 @@ def _expr(toks: list[str], i: int) -> tuple[dict, int]:
     if toks[i] in _SIGNS:
         i += 1
     while True:
-        poly, i = _term(toks, i)
+        poly, i = _term(toks, i, spent)
         for m, c in poly.items():
             acc[m] = get(m, 0) + sign * c
         if toks[i] not in _SIGNS:
@@ -219,10 +230,10 @@ def _expr(toks: list[str], i: int) -> tuple[dict, int]:
         i += 1
 
 
-def _term(toks: list[str], i: int) -> tuple[dict, int]:
+def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
     """A product: one coefficient, one exponent per distinct sequence
     factor, and the parenthesized groups, which alone go through
-    ``poly_mul``.
+    ``poly_mul``, each charged to ``spent`` first.
     """
     tok = toks[i]
     coeff = 1
@@ -232,7 +243,7 @@ def _term(toks: list[str], i: int) -> tuple[dict, int]:
         coeff = parse_int(tok)
         i += 1
     elif tok in _FACTOR_START:
-        i = _factor(toks, i, exps, groups)
+        i = _factor(toks, i, exps, groups, spent)
     else:
         raise _Fail(f"expected a term, found {tok or 'end of input'!r}", i)
     while True:
@@ -248,21 +259,28 @@ def _term(toks: list[str], i: int) -> tuple[dict, int]:
                 raise _Fail(f"expected a factor after '*', found {tok or 'end of input'!r}", i)
         elif tok not in _FACTOR_START:  # else juxtaposition, e.g. 2W(r)
             break
-        i = _factor(toks, i, exps, groups)
+        i = _factor(toks, i, exps, groups, spent)
     poly = {tuple(sorted(exps.items())): coeff} if coeff else {}
-    for group, e in groups:
+    for group, e, start in groups:
         for _ in range(e):
+            if not poly:
+                break
+            spent[0] += len(poly) * len(group)
+            if spent[0] > MAX_PRODUCTS:
+                raise _Fail(f"multiplying out the group takes over {MAX_PRODUCTS} products", start)
             poly = poly_mul(poly, group)
     return poly, i
 
 
-def _factor(toks: list[str], i: int, exps: dict, groups: list) -> int:
+def _factor(toks: list[str], i: int, exps: dict, groups: list, spent: list[int]) -> int:
     """Add the factor at ``toks[i]`` to a product: a sequence factor to
-    ``exps``, a parenthesized group and its power to ``groups``.
+    ``exps``, a parenthesized group, its power and its token index to
+    ``groups``.
     """
     group = None
+    start = i
     if toks[i] == "(":
-        group, i = _expr(toks, i + 1)
+        group, i = _expr(toks, i + 1, spent)
     else:
         factor, i = _index(toks, _expect(toks, i + 1, "("), toks[i])
     i = _expect(toks, i, ")")
@@ -276,7 +294,7 @@ def _factor(toks: list[str], i: int, exps: dict, groups: list) -> int:
     if group is None:
         exps[factor] = exps.get(factor, 0) + e
     else:
-        groups.append((group, e))
+        groups.append((group, e, start))
     return i
 
 

@@ -100,12 +100,11 @@ def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tup
     -1, -2 and infinity (Chung & Hasan, "Asymmetric squaring formulae",
     ARITH 2007).  Interpolation needs only exact halvings and one exact
     division by 3; the square's coefficients d0..d4 reduce by
-    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1.  One loop, no call per bit.
+    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1.  One loop over the bits.
 
-    Once the coefficients pass ``_TOOM4_BITS`` the five squares go through
-    ``_square`` (Toom-4); below it the loop multiplies ``x * x`` inline, at
-    the cost of one size check per bit.  Either way a bit costs five squares
-    of the algorithm, the count ``fasteval.mul_count`` keeps.
+    The five squares go through ``_square``, which picks ``x * x`` or Toom-4
+    by each operand's size.  Either way a bit costs five squares of the
+    algorithm, the count ``fasteval.mul_count`` keeps.
     """
     for bit in bits:
         p = c0 + c2
@@ -114,10 +113,7 @@ def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tup
         r = q + 3 * c2 - c1  # c0 - 2c1 + 4c2
         # v0 = d0, v4 = d4, p = d0 + d1 + d2 + d3 + d4,
         # q = d0 - d1 + d2 - d3 + d4, r = d0 - 2d1 + 4d2 - 8d3 + 16d4
-        if r.bit_length() <= _TOOM4_BITS:
-            v0, v4, p, q, r = c0 * c0, c2 * c2, p * p, q * q, r * r
-        else:
-            v0, v4, p, q, r = _square(c0), _square(c2), _square(p), _square(q), _square(r)
+        v0, v4, p, q, r = _square(c0), _square(c2), _square(p), _square(q), _square(r)
         t = ((q - v0 - (r - p) // 3) >> 1) + 3 * v4  # d3 + d4
         # c0 = d0 + d3 + d4, c1 = d1 + d3 + 2d4, c2 = d2 + d3 + 2d4
         c0, c1, c2 = v0 + t, ((p - q) >> 1) + 2 * v4, ((p + q) >> 1) - v0 + t

@@ -27,7 +27,6 @@ from tribkit import (
 from tribkit.certify import (
     _NORM,
     Counterexample,
-    _bind,
     _content_free,
     _evaluate,
     _grid,
@@ -151,8 +150,8 @@ def test_window_shrink_admits_false_identity():
     assert cert.verdict == "refuted"
     assert cert.windows["r"] == 3
     assert cert.counterexample.r == 2
-    bound = _bind(ast.diff(), {"T": _Terms(SeedVector(0, 1, 1))})
-    assert [_evaluate(bound, r, 0) for r in (0, 1, 2)] == [0, 0, 1]
+    terms = {"T": _Terms(SeedVector(0, 1, 1))}
+    assert [_evaluate(ast.diff(), terms, r, 0) for r in (0, 1, 2)] == [0, 0, 1]
 
 
 def test_tables_span_only_the_factors_indices():

@@ -24,6 +24,7 @@ from tribkit.cli import (
     EXIT_USAGE,
     main,
 )
+from tribkit.dsl import MAX_PRODUCTS
 
 from reference import interpreter_state, no_digit_limit, str_unlimited
 from table1 import K_TABLE
@@ -220,6 +221,15 @@ def test_certify_parse_error(capsys):
     assert code == EXIT_USAGE and "position" in err
 
 
+def test_certify_over_budget_expansion_is_a_parse_error(capsys):
+    # 604,656 products to multiply out, into 50,388 monomials
+    eight = " + ".join(f"W(r+{k})" for k in range(8))
+    code, out, err = run(capsys, "certify", f"({eight})^12 = 0")
+    assert (code, out) == (EXIT_USAGE, "")
+    message = f"multiplying out the group takes over {MAX_PRODUCTS} products"
+    assert err == f"parse error: {message} (at position 0)\n"
+
+
 def test_certify_deep_nesting_is_a_parse_error(capsys):
     # 332 levels used to overflow the recursion limit: a traceback, exit 1
     text = "(" * 332 + "W(r)" + ")" * 332 + " = 0"
@@ -307,12 +317,16 @@ def test_corpus_header_without_identity(tmp_path, capsys):
     assert err == "cannot load corpus: corpus line 1: header [a] has no identity\n"
 
 
-def test_corpus_env_override(tmp_path, capsys, monkeypatch):
+def test_corpus_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # no environment variable chooses the corpus
+    bundled = load_corpus()
+    expected = run(capsys, "corpus", "--only", "eq12")
     path = tmp_path / "c.txt"
     path.write_text("# [bad] local\nW(r) = 2*W(r-1)\n")
     monkeypatch.setenv("TRIBKIT_CORPUS", str(path))
-    code, out, _ = run(capsys, "corpus")
-    assert code == EXIT_REFUTED and "bad: refuted" in out
+    assert load_corpus() == bundled
+    assert run(capsys, "corpus", "--only", "eq12") == expected
+    assert expected[0] == EXIT_OK
 
 
 def test_bench_csv(capsys):

@@ -71,13 +71,11 @@ def test_returned_lists_are_independent():
     assert load_corpus() is not load_corpus()
 
 
-def test_env_override_after_bundled_call(tmp_path, monkeypatch):
+def test_path_is_read_on_every_call(tmp_path):
     bundled = load_corpus()
     path = tmp_path / "c.txt"
     path.write_text("# [local] one entry\nW(r) = W(r)\n")
-    monkeypatch.setenv("TRIBKIT_CORPUS", str(path))
-    assert [e.id for e in load_corpus()] == ["local"]
+    assert [e.id for e in load_corpus(str(path))] == ["local"]
     path.write_text("# [edited] the file is read again\nW(r) = W(r)\n")
-    assert [e.id for e in load_corpus()] == ["edited"]
-    monkeypatch.delenv("TRIBKIT_CORPUS")
+    assert [e.id for e in load_corpus(str(path))] == ["edited"]
     assert load_corpus() == bundled

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribkit import (
@@ -11,7 +11,8 @@ from tribkit import (
     render,
     template_to_ast,
 )
-from tribkit.dsl import MAX_DEPTH, SYMBOLS, identity
+from tribkit import dsl
+from tribkit.dsl import MAX_DEPTH, MAX_PRODUCTS, SYMBOLS, identity
 
 
 def test_parse_three_term_recurrence():
@@ -149,6 +150,32 @@ def test_nesting_depth_is_bounded():
     assert parse(siblings) == parse(f"{MAX_DEPTH}*W(r) = 0")
 
 
+def test_expansion_is_bounded():
+    # (a + b)^400 takes 2 * (1 + 2 + ... + 400) = 160,400 products
+    assert len(parse("(W(r) + W(r+1))^400 = 0").lhs) == 401
+    eight = " + ".join(f"W(r+{k})" for k in range(8))
+    with pytest.raises(ParseError) as err:
+        parse(f"W(s) = ({eight})^12")
+    message = f"multiplying out the group takes over {MAX_PRODUCTS} products"
+    assert str(err.value) == f"{message} (at position 7)"
+
+
+def test_expansion_budget_is_shared_by_one_parse(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_PRODUCTS", 100)
+    parse("(W(r) + W(s))^9 = 0")  # 90 products
+    with pytest.raises(ParseError, match=r"over 100 products \(at position 0\)"):
+        parse("(W(r) + W(s))^10 = 0")
+    parse("(W(r) + W(s))^6 = (T(r) + T(s))^6")  # 42 + 42
+    with pytest.raises(ParseError, match=r"\(at position 18\)"):
+        parse("(W(r) + W(s))^7 = (T(r) + T(s))^7")
+    # a nested group charges the same budget before its parent does
+    with pytest.raises(ParseError, match=r"\(at position 1\)"):
+        parse("((W(r) + W(s))^10 + K(r)) = 0")
+    parse("(W(r) + W(s))^9 = 0")  # every call starts afresh
+    # zero times any power is zero, at no cost
+    assert parse("0*(W(r) + W(s))^1000000000 = (W(r) - W(r))^1000000000*T(s)") == parse("0 = 0")
+
+
 _factor = st.tuples(
     st.sampled_from(SYMBOLS),
     st.sampled_from([(), ("r",), ("s",), ("r", "s")]),
@@ -166,6 +193,75 @@ def test_round_trip_over_random_canonical_asts(lhs, rhs):
     text = render(ast)
     assert parse(text) == ast
     assert render(parse(text)) == text
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n", " # comment ( = ^\n"])
+_COEFF = st.integers(0, 10**30).map(str)
+# past the interpreter's 4300-digit int->str limit; outside groups only
+_BIG_COEFF = st.sampled_from(["9" * 4301, "1" + "0" * 5000])
+_INDICES = [v + k for v in ("r", "s", "r+s", "s+r") for k in ("", "+1", "-1", "+12", "-30")]
+_SEQ = st.sampled_from(
+    [
+        f"{sym}({index}){power}"
+        for sym in SYMBOLS
+        for index in _INDICES + ["0", "+3", "-4", "21"]
+        for power in ("", "", "^2", "^7")
+    ]
+)
+_SIGN = st.sampled_from(["", "", "-", "+"])
+_PLUS_MINUS = st.sampled_from(["+", "-"])
+_TIMES = st.sampled_from(["*", " * ", "", " "])
+_GROUP_POWER = st.sampled_from(["", "^2", "^3"])
+_COUNT = st.integers(0, 9)
+
+
+def _expr_text(draw, depth):
+    out = draw(_SIGN)
+    for n in range(1 + draw(_COUNT) % (3 if depth == 0 else 2)):
+        if n:
+            out += draw(_WS) + draw(_PLUS_MINUS) + draw(_WS)
+        out += _term_text(draw, depth)
+    return out
+
+
+def _term_text(draw, depth):
+    """At most one group per term keeps the expansion small."""
+    parts = []
+    if draw(_COUNT) % 2:
+        big = depth == 0 and draw(_COUNT) == 0
+        parts.append(draw(_BIG_COEFF if big else _COEFF))
+    group_at = draw(_COUNT) % 3 if depth < 2 else None
+    for k in range(max(draw(_COUNT) % 3, 0 if parts else 1)):
+        if k == group_at:
+            group = _expr_text(draw, depth + 1)
+            parts.append(f"({draw(_WS)}{group}{draw(_WS)}){draw(_GROUP_POWER)}")
+        else:
+            parts.append(draw(_SEQ))
+    return "".join(part + draw(_TIMES) for part in parts[:-1]) + parts[-1]
+
+
+@st.composite
+def _identity_text(draw):
+    """DSL text: signs, coefficients of up to 31 digits and a few past 4300,
+    every index form, powers, groups nested two deep with powers up to 3,
+    comments and whitespace."""
+    return f"{_expr_text(draw, 0)}{draw(_WS)}={_expr_text(draw, 0)}{draw(_WS)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identity_text())
+def test_grammar_fuzz_round_trips(text):
+    ast = parse(text)
+    assert parse(render(ast)) == ast
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("WTKrs0123456789+-*^()= #\n") + ["x", "$", "\u00e9"])))
+def test_junk_text_raises_only_parse_errors(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 def test_comments_and_whitespace_are_ignored():
