@@ -5,11 +5,13 @@
 refutation and its counterexample are exactly the ones the full grid finds.
 
 1. Probe.  lhs - rhs is evaluated once at a fixed point off the grid:
-   seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3).
-   It reads its terms through the grid's lookups and evaluator (step 3).
-   A nonzero value proves the identity false (one nonzero evaluation
+   seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3),
+   as a residue modulo the prime 2^61 - 1, so a large exponent costs a
+   modular power, not a huge integer.  It reads its terms through the
+   grid's lookups and evaluator (step 3).  A nonzero residue means a
+   nonzero value, which proves the identity false (one nonzero evaluation
    suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
-   finds the canonical counterexample.  A zero value proves nothing, and
+   finds the canonical counterexample.  A zero residue proves nothing, and
    step 2 runs.  The probe never verifies: it only orders the work, and
    true identities never reach the grid.
 
@@ -131,9 +133,10 @@ from .dsl import VARS, IdentityAst, Side, degree_profile
 from .fasteval import matrix_power_term
 from .sequences import NAMED, SeedVector, basis_decomposition
 
-#: The probe point of step 1.
+#: The probe point of step 1, and the prime its value is reduced by.
 _PROBE_SEED = SeedVector(2, -3, 5)
 _PROBE_AT = {"r": 7, "s": 11}
+_PROBE_MOD = 2**61 - 1
 
 #: The norm N(c0 + c1 x + c2 x^2) by exponents of (c0, c1, c2) (step 2).
 _NORM = {
@@ -221,8 +224,11 @@ def _lookups(seed: SeedVector) -> dict[str, _Terms]:
     return {sym: _Terms(v) for sym, v in {**NAMED, "W": seed}.items()}
 
 
-def _evaluate(side: Side, terms: dict[str, _Terms], r: int, s: int) -> int:
-    """The side's value at (r, s), its terms read from ``terms``."""
+def _evaluate(
+    side: Side, terms: dict[str, _Terms], r: int, s: int, mod: int | None = None
+) -> int:
+    """The side's value at (r, s), its terms read from ``terms``; reduced
+    modulo ``mod`` when one is given."""
     total = 0
     for mono, coeff in side:
         for (sym, vs, off), e in mono:
@@ -230,9 +236,9 @@ def _evaluate(side: Side, terms: dict[str, _Terms], r: int, s: int) -> int:
                 off += r
             if "s" in vs:
                 off += s
-            coeff *= terms[sym][off] ** e
+            coeff *= pow(terms[sym][off], e, mod)
         total += coeff
-    return total
+    return total if mod is None else total % mod
 
 
 def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -310,8 +316,9 @@ def _normal_form(diff: Side) -> dict[int, int]:
 
 
 def _probe(diff: Side) -> int:
-    """lhs - rhs at the probe point (module docstring, step 1)."""
-    return _evaluate(diff, _lookups(_PROBE_SEED), _PROBE_AT["r"], _PROBE_AT["s"])
+    """lhs - rhs at the probe point modulo ``_PROBE_MOD`` (module docstring,
+    step 1)."""
+    return _evaluate(diff, _lookups(_PROBE_SEED), _PROBE_AT["r"], _PROBE_AT["s"], _PROBE_MOD)
 
 
 def _grid(

@@ -81,12 +81,25 @@ def _json(obj) -> str:
     return json.dumps(obj)
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  tribkit has no short option but -h, so a token
+    led by a single "-" (``-5..5``, ``-1,0,1``, ``-W(r)=-W(r)``) is a value
+    or the certify identity, never an option."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+            return None  # a positional or a flag's value
+        return super()._parse_optional(arg_string)
+
+
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tribkit",
         description="Workbench for generalized Tribonacci sequences and identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p_eval = sub.add_parser("eval", help="print exact sequence values")
     group = p_eval.add_mutually_exclusive_group(required=True)
@@ -251,35 +264,13 @@ _COMMANDS = {
 }
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
-    """The option strings that take a value, in the parser and its subparsers."""
-    flags = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                flags |= _value_flags(sub)
-        elif action.option_strings and action.nargs != 0:
-            flags.update(action.option_strings)
-    return flags
-
-
-@functools.cache
-def _parser() -> tuple[
-    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], frozenset[str]
-]:
-    """The parser, its subparsers by command and its value-taking flags,
-    built once per process."""
-    parser, subparsers = _build_parser()
-    return parser, subparsers, frozenset(_value_flags(parser))
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """``parser.parse_args(argv)``, with a known command parsed by its own
     subparser: the top-level parser would only hand the rest of argv to it,
     at twice the cost.  Leftover arguments give the top-level parser's
     error, as ``parse_args`` does.
     """
-    parser, subparsers, _ = _parser()
+    parser, subparsers = _parser()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:  # no or an unknown command, or a top-level option
         return parser.parse_args(argv)
@@ -290,41 +281,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _join_dashed_values(argv: list[str], value_flags: frozenset[str]) -> list[str]:
-    """Glue flag values that start with "-" (e.g. ``--range -5..5``) onto
-    their flag so argparse does not mistake them for options."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in value_flags and nxt and nxt.startswith("-") and nxt not in value_flags:
-            out.append(f"{tok}={nxt}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
-def _shield_dashed_identity(argv: list[str]) -> list[str]:
-    """Move a certify identity that starts with "-" (``-W(r)=-W(r)``) behind
-    "--": argparse takes a dash-led token without a space for an option."""
-    if argv[:1] != ["certify"] or "--" in argv:
-        return argv
-    dashed = [t for t in argv[1:] if t[:1] == "-" and t[:2] != "--" and t != "-h"]
-    if not dashed:
-        return argv
-    return [t for t in argv if t not in dashed] + ["--", *dashed]
-
-
 def main(argv: list[str] | None = None) -> int:
-    value_flags = _parser()[2]
     if argv is None:
         argv = sys.argv[1:]
     try:
-        argv = _shield_dashed_identity(_join_dashed_values(list(argv), value_flags))
-        args = _parse_args(argv)
+        args = _parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

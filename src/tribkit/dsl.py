@@ -23,8 +23,11 @@ Grammar (# starts a comment, whitespace is insignificant):
 
 The parser takes its tokens from one ``re.findall`` pass and descends
 over that list of strings.  A term gathers its coefficient and one
-exponent per distinct sequence factor; only parenthesized groups are
-multiplied out with ``poly_mul``, and a sum adds its terms into one dict.
+exponent per distinct sequence factor, and a sum adds its terms into one
+dict.  A parenthesized group of one monomial with coefficient 1 or -1,
+such as (W(r)) or (-T(s)^2), folds into the term: its power multiplies its
+exponents, and an odd power of -1 flips the term's sign.  Only the other
+groups are multiplied out, once per unit of their power, with ``poly_mul``.
 Tokens carry no positions: a ``ParseError`` finds its position by
 scanning the text again, which only errors pay for.  A coefficient literal
 may have any length (``numtext.parse_int``); an exponent or index literal
@@ -232,8 +235,8 @@ def _expr(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
 
 def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
     """A product: one coefficient, one exponent per distinct sequence
-    factor, and the parenthesized groups, which alone go through
-    ``poly_mul``, each charged to ``spent`` first.
+    factor, and the parenthesized groups that do not fold (``_factor``),
+    which alone go through ``poly_mul``, each charged to ``spent`` first.
     """
     tok = toks[i]
     coeff = 1
@@ -243,7 +246,8 @@ def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
         coeff = parse_int(tok)
         i += 1
     elif tok in _FACTOR_START:
-        i = _factor(toks, i, exps, groups, spent)
+        i, sign = _factor(toks, i, exps, groups, spent)
+        coeff *= sign
     else:
         raise _Fail(f"expected a term, found {tok or 'end of input'!r}", i)
     while True:
@@ -259,7 +263,8 @@ def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
                 raise _Fail(f"expected a factor after '*', found {tok or 'end of input'!r}", i)
         elif tok not in _FACTOR_START:  # else juxtaposition, e.g. 2W(r)
             break
-        i = _factor(toks, i, exps, groups, spent)
+        i, sign = _factor(toks, i, exps, groups, spent)
+        coeff *= sign
     poly = {tuple(sorted(exps.items())): coeff} if coeff else {}
     for group, e, start in groups:
         for _ in range(e):
@@ -272,10 +277,14 @@ def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
     return poly, i
 
 
-def _factor(toks: list[str], i: int, exps: dict, groups: list, spent: list[int]) -> int:
+def _factor(
+    toks: list[str], i: int, exps: dict, groups: list, spent: list[int]
+) -> tuple[int, int]:
     """Add the factor at ``toks[i]`` to a product: a sequence factor to
     ``exps``, a parenthesized group, its power and its token index to
-    ``groups``.
+    ``groups``.  A group of one monomial with coefficient 1 or -1 adds its
+    exponents, times the power, to ``exps`` instead, at no product.
+    Returns the next token index and the sign the factor puts on the term.
     """
     group = None
     start = i
@@ -293,9 +302,15 @@ def _factor(toks: list[str], i: int, exps: dict, groups: list, spent: list[int])
         i += 1
     if group is None:
         exps[factor] = exps.get(factor, 0) + e
-    else:
-        groups.append((group, e, start))
-    return i
+        return i, 1
+    if len(group) == 1:
+        ((mono, coeff),) = group.items()
+        if coeff in (1, -1):
+            for factor, f_e in mono:
+                exps[factor] = exps.get(factor, 0) + e * f_e
+            return i, coeff**e
+    groups.append((group, e, start))
+    return i, 1
 
 
 def _small_int(toks: list[str], i: int) -> int:

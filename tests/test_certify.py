@@ -344,6 +344,15 @@ def test_unlucky_probe_still_refutes_canonically(text):
     assert (cert.evaluations, cert.counterexample) == (evaluations, counterexample)
 
 
+def test_probe_is_a_residue():
+    # lhs - rhs is 46^1000000, about 5.5 million bits, at the probe point;
+    # its residue modulo 2^61 - 1 costs one modular power
+    ast = parse("W(r)^1000000 = 0")
+    assert _probe(ast.diff()) in range(2**61 - 1)
+    cert = certify(ast)
+    assert (cert.verdict, cert.method, cert.evaluations) == ("refuted", "grid", 3)
+
+
 # True identities that need the norm relation N(x^v) = 1.
 NORM_RELATION = [
     HANKEL_T,

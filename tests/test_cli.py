@@ -216,6 +216,52 @@ def test_certify_dash_led_identity(capsys):
     assert code == EXIT_OK and json.loads(out)["verdict"] == "verified"
 
 
+VERIFIED_JSON = '{"schema": 4, "identity": "0 = 0", "verdict": "verified"'
+
+# A token led by one "-", other than -h, is a value or the identity, never an
+# option: (argv, exit code, stdout prefix, stderr suffix), "" meaning empty.
+DASH_LED = [
+    (["eval", "--seq", "K", "--n", "-5"], EXIT_OK, "-1\n", ""),
+    (["eval", "--seed", "-1,2,3", "--n", "4"], EXIT_OK, "9\n", ""),
+    (["eval", "--seq", "K", "--range", "-5..-2"], EXIT_OK, "-1\n-5\n5\n-1\n", ""),
+    (["derive", "--basis", "T", "--offsets", "-1,0,1"], EXIT_OK,
+     "W(r+s) = T(s-1)*W(r-1) - T(s)*W(r) + T(s)*W(r+1) + T(s+1)*W(r)\n", ""),
+    (["certify", "--file", "-missing"], EXIT_USAGE, "",
+     "[Errno 2] No such file or directory: '-missing'\n"),
+    (["corpus", "--path", "-missing"], EXIT_USAGE, "",
+     "cannot load corpus: [Errno 2] No such file or directory: '-missing'\n"),
+    (["corpus", "--only", "-x"], EXIT_USAGE, "", "unknown corpus ids: ['-x']\n"),
+    (["bench", "--n", "5", "--strategies", "-x"], EXIT_USAGE, "", "unknown strategies: ['-x']\n"),
+    # the certify identity, before or after a flag, and after "--"
+    (["certify", "-W(r)=-W(r)"], EXIT_OK, "verified: 0 = 0\n", ""),
+    (["certify", "-W(r) = 2*W(r)"], EXIT_REFUTED, "refuted: -3*W(r) = 0\n", ""),
+    (["certify", "-2*W(r)=-W(r)-W(r)", "--json"], EXIT_OK, VERIFIED_JSON, ""),
+    (["certify", "--json", "-2*W(r)=-W(r)-W(r)"], EXIT_OK, VERIFIED_JSON, ""),
+    (["certify", "--json", "--", "-2*W(r)=-W(r)-W(r)"], EXIT_OK, VERIFIED_JSON, ""),
+    # exactly -h is an option, not every token it leads
+    (["certify", "-h"], EXIT_OK, "usage: tribkit certify ", ""),
+    (["certify", "-hW(r)=W(r)"], EXIT_USAGE, "",
+     "parse error: expected a term, found 'h' (at position 1)\n"),
+    # a token led by "--" is never a value
+    (["eval", "--seq", "T", "--n", "--fast"], EXIT_USAGE, "",
+     "tribkit eval: error: argument --n: expected one argument\n"),
+    # leftover arguments are listed in argv order
+    (["certify", "-W(r)", "=", "-W(r)"], EXIT_USAGE, "",
+     "tribkit: error: unrecognized arguments: = -W(r)\n"),
+    (["certify", "-W(r)=-W(r)", "--", "x"], EXIT_USAGE, "",
+     "tribkit: error: unrecognized arguments: x\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", DASH_LED)
+def test_dash_led_tokens_are_values(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.chdir(tmp_path)  # so that no file -missing exists
+    got_code, got_out, got_err = run(capsys, *argv)
+    assert got_code == code
+    assert got_out.startswith(out) and bool(got_out) == bool(out)
+    assert got_err.endswith(err) and bool(got_err) == bool(err)
+
+
 def test_certify_parse_error(capsys):
     code, _, err = run(capsys, "certify", "W(r-3) = 2W(r) -")
     assert code == EXIT_USAGE and "position" in err

@@ -176,6 +176,18 @@ def test_expansion_budget_is_shared_by_one_parse(monkeypatch):
     assert parse("0*(W(r) + W(s))^1000000000 = (W(r) - W(r))^1000000000*T(s)") == parse("0 = 0")
 
 
+def test_unit_monomial_group_folds_into_its_term(monkeypatch):
+    # a one-monomial group with coefficient 1 or -1 costs no product
+    expected = parse("-W(r)^5*T(s)^3 = 0")
+    assert parse("(W(r))^5*(-T(s))^3 = 0") == expected
+    assert len(parse("(W(r))^1000000 = 0").lhs) == 1
+    monkeypatch.setattr(dsl, "MAX_PRODUCTS", 0)
+    assert parse("(W(r))^5*(-T(s))^3 = 0") == expected
+    assert parse("((-W(r)*T(s))^2)^3 = 0") == parse("W(r)^6*T(s)^6 = 0")
+    with pytest.raises(ParseError, match=r"over 0 products"):
+        parse("(2*W(r))^2 = 0")
+
+
 _factor = st.tuples(
     st.sampled_from(SYMBOLS),
     st.sampled_from([(), ("r",), ("s",), ("r", "s")]),
