@@ -110,49 +110,28 @@ def derive_lucas_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:
     return _derive("K", (o1, o2, o3))
 
 
+def _formula_ast(t: FormulaTemplate, on_s: str, on_r: str) -> dsl.IdentityAst:
+    """The template's den * W(r+s) = sum of c * on_s(s+j0+j) * on_r(r+o).
+    Each (o, j) gives its own monomial: ``dsl.identity`` only drops zeros."""
+    base = CANONICAL_BASE[t.basis]
+    rhs = {
+        tuple(sorted([((on_s, ("s",), base + j), 1), ((on_r, ("r",), off), 1)])): c
+        for off, row in zip(t.offsets, t.coeffs)
+        for j, c in enumerate(row)
+    }
+    return dsl.identity({((("W", ("r", "s"), 0), 1),): t.denominator}, rhs)
+
+
 def template_to_ast(t: FormulaTemplate) -> dsl.IdentityAst:
     """The template's identity as a DSL AST."""
-    base = CANONICAL_BASE[t.basis]
-    lhs = {(((("W", ("r", "s"), 0)), 1),): t.denominator}
-    rhs: dict = {}
-    for i, off in enumerate(t.offsets):
-        for j, c in enumerate(t.coeffs[i]):
-            if c == 0:
-                continue
-            mono = tuple(
-                sorted([((t.basis, ("s",), base + j), 1), (("W", ("r",), off), 1)])
-            )
-            rhs[mono] = rhs.get(mono, 0) + c
-    return dsl.identity(lhs, rhs)
-
-
-def _exchange_roles(ast: dsl.IdentityAst, basis: str) -> dsl.IdentityAst:
-    """Swap W and the basis symbol on every single-variable factor."""
-
-    def swap_factor(f: dsl.Factor) -> dsl.Factor:
-        sym, vs, off = f
-        if len(vs) != 1:
-            return f
-        if sym == "W":
-            return (basis, vs, off)
-        if sym == basis:
-            return ("W", vs, off)
-        return f
-
-    def swap_side(side):
-        out: dict = {}
-        for mono, coeff in side:
-            m = tuple(sorted((swap_factor(f), e) for f, e in mono))
-            out[m] = out.get(m, 0) + coeff
-        return out
-
-    return dsl.identity(swap_side(ast.lhs), swap_side(ast.rhs))
+    return _formula_ast(t, t.basis, "W")
 
 
 def swap_roles(t: FormulaTemplate) -> dsl.IdentityAst:
-    """Role-swapped identity: W combinations multiplying shifted basis terms.
+    """Role-swapped identity: W and the basis symbol trade places on every
+    single-variable factor, so W combinations multiply shifted basis terms.
 
     Emitted as an AST to be validated by the certifier, not assumed correct
     by construction.
     """
-    return _exchange_roles(template_to_ast(t), t.basis)
+    return _formula_ast(t, "W", t.basis)

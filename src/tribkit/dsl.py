@@ -58,6 +58,7 @@ Factor = tuple[str, tuple[str, ...], int]
 # A monomial is a sorted tuple of (factor, exponent) pairs; () is a constant.
 Monomial = tuple[tuple[Factor, int], ...]
 # A side of an identity: sorted ((monomial, coefficient), ...) with no zeros.
+# ``IdentityAst.diff`` returns the same shape, but sorted only per side.
 Side = tuple[tuple[Monomial, int], ...]
 
 SYMBOLS = ("W", *NAMED)
@@ -81,13 +82,6 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (dict[Monomial, int] while under construction)
-
-
-def poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c != 0}
 
 
 def poly_mul(a: dict, b: dict) -> dict:
@@ -117,8 +111,10 @@ class IdentityAst(NamedTuple):
     rhs: Side
 
     def diff(self) -> Side:
-        """lhs - rhs as a single merged sum (zero for trivial identities)."""
-        return _freeze(poly_add(dict(self.lhs), {m: -c for m, c in self.rhs}))
+        """lhs - rhs: lhs, then rhs negated, so sorted per side only.  It is
+        merged since ``identity`` leaves no monomial on both sides; a
+        hand-built AST may, which is harmless: consumers add terms up."""
+        return self.lhs + tuple((m, -c) for m, c in self.rhs)
 
     def monomials(self) -> Side:
         return self.lhs + self.rhs

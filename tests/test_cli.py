@@ -417,6 +417,12 @@ CORPUS_FILES = {
          "corpus entry broken: parse error: expected a term, found '=' (at position 7)"),
         (["corpus", "--path", "{tmp}/absolute"], EXIT_UNSUPPORTED,
          "corpus entry absolute: unsupported: absolute-index factor T(0) is outside certify's scope"),
+        (["eval", "--seed", "1,x,3", "--n", "5"], EXIT_USAGE,
+         "--seed must be comma-separated integers"),
+        (["derive", "--basis", "T", "--offsets", "1,a,2"], EXIT_USAGE,
+         "--offsets must be comma-separated integers"),
+        (["bench", "--n", "5,x"], EXIT_USAGE,
+         "--n must be comma-separated integers"),
     ],
 )
 def test_failure_table_rows(tmp_path, capsys, monkeypatch, argv, code, err):

@@ -18,7 +18,8 @@ from tribkit import (
     template_to_ast,
     term,
 )
-from tribkit.derive import CANONICAL_BASE, _exchange_roles
+from tribkit.derive import CANONICAL_BASE
+from tribkit.dsl import identity
 
 from reference import reevaluate
 
@@ -211,9 +212,31 @@ def test_swap_of_lucas_22_identity():
     )
 
 
+def exchange_roles(ast, basis):
+    """Swap W and ``basis`` on every single-variable factor of any AST and
+    canonicalize again: a reference for ``swap_roles``, independent of how
+    it builds its AST."""
+
+    def swap_factor(f):
+        sym, vs, off = f
+        if len(vs) == 1 and sym in ("W", basis):
+            return ("W" if sym == basis else basis, vs, off)
+        return f
+
+    def swap_side(side):
+        out = {}
+        for mono, coeff in side:
+            m = tuple(sorted((swap_factor(f), e) for f, e in mono))
+            out[m] = out.get(m, 0) + coeff
+        return out
+
+    return identity(swap_side(ast.lhs), swap_side(ast.rhs))
+
+
 def test_swap_is_an_involution():
     for t in (derive_tribonacci_basis(-2, 1, 3), derive_lucas_basis(-1, 0, 2)):
-        assert _exchange_roles(swap_roles(t), t.basis) == template_to_ast(t)
+        assert exchange_roles(template_to_ast(t), t.basis) == swap_roles(t)
+        assert exchange_roles(swap_roles(t), t.basis) == template_to_ast(t)
 
 
 def _values(seed, lo, hi):

@@ -205,6 +205,12 @@ def test_round_trip_over_random_canonical_asts(lhs, rhs):
     text = render(ast)
     assert parse(text) == ast
     assert render(parse(text)) == text
+    # diff() concatenates the sides, so they must share no monomial
+    assert not {m for m, _ in ast.lhs} & {m for m, _ in ast.rhs}
+    merged = dict(lhs)
+    for m, c in rhs.items():
+        merged[m] = merged.get(m, 0) - c
+    assert dict(ast.diff()) == {m: c for m, c in merged.items() if c}
 
 
 _WS = st.sampled_from(["", " ", "  ", "\t", "\n", " # comment ( = ^\n"])
