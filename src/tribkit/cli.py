@@ -28,6 +28,10 @@ EXIT_MISMATCH = 4
 
 SCHEMA_VERSION = 4
 
+#: The most bits ``eval`` computes and prints, summed over a range
+#: (``fasteval.term_bits``).  W(10^7) has about 8.8 million bits.
+MAX_EVAL_BITS = 1 << 24
+
 #: The one place exit codes 2-4 are decided: each exception a command may
 #: raise, most specific class first, with its exit code and stderr prefix.
 #: Commands return only EXIT_OK or EXIT_REFUTED and raise for the rest.
@@ -35,6 +39,7 @@ _FAILURES = (
     (dsl.ParseError, EXIT_USAGE, "parse error: "),
     (UnsupportedTerm, EXIT_UNSUPPORTED, "unsupported: "),
     (DegenerateOffsets, EXIT_UNSUPPORTED, "degenerate offsets: "),
+    (fasteval.OverBudget, EXIT_UNSUPPORTED, "over budget: "),
     (fasteval.VerificationMismatch, EXIT_MISMATCH, "verification mismatch: "),
     (ValueError, EXIT_USAGE, ""),
     (OSError, EXIT_USAGE, ""),
@@ -137,6 +142,18 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     return parser, sub.choices
 
 
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        pass
+    else:
+        if lo <= hi:
+            return lo, hi
+    raise ValueError(f"bad --range {text!r}, expected LO..HI with LO <= HI")
+
+
 def _cmd_eval(args) -> int:
     if args.seq:
         seed = NAMED[args.seq]
@@ -145,14 +162,13 @@ def _cmd_eval(args) -> int:
         if len(w) != 3:
             raise ValueError("--seed needs three comma-separated integers w0,w1,w2")
         seed = SeedVector(*w)
-    if args.n is not None:
-        values = [fasteval.fast_term(seed, args.n)]
-    else:
-        lo, _, hi = args.range_.partition("..")
-        try:
-            values = term_range(seed, int(lo), int(hi))
-        except ValueError:  # not integers, or LO > HI
-            raise ValueError(f"bad --range {args.range_!r}, expected LO..HI with LO <= HI") from None
+    lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)
+    bits = fasteval.term_bits(seed, lo, hi)
+    if bits > MAX_EVAL_BITS:
+        raise fasteval.OverBudget(
+            f"eval output of up to {bits} bits is past MAX_EVAL_BITS = {MAX_EVAL_BITS}"
+        )
+    values = [fasteval.fast_term(seed, lo)] if args.n is not None else term_range(seed, lo, hi)
     for v in values:
         print(format_int(v))
     return EXIT_OK

@@ -49,6 +49,17 @@ pass the threshold from n of about 59,000 (n > 0) or -118,000 (n < 0),
 and the kernel's, which square x^(m/2), from twice that.  Below, the
 squares are the plain ``x * x`` products.
 
+Each kernel step's five squares and the finish's three are independent,
+so each set is one ``sequences._squares`` batch.  Past
+``sequences._SPLIT_BITS`` (20,000) bits, that is for the finish from n of
+about 45,000 (n > 0) or -91,000 (n < 0) and for the kernel from twice
+that, a forked worker process squares the last two of a step's five, or
+the last of the finish's three, while this process squares the rest, on
+the host's second CPU.  The worker squares with ``_square`` too, so the
+values and ``mul_count`` are the same as on one CPU.  Where no worker can
+be forked (one usable CPU, or a second thread running at the first big
+batch), every square stays in this process.
+
 ``mul_count`` counts the big-integer squares of the algorithm
 ``fast_term`` performs: 5 per bit of |m| in the kernel and 3 in the
 finish, so fast_term(seed, 2**k) performs 5k + 3.  A square that Toom-4
@@ -69,7 +80,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .sequences import TRIBONACCI, SeedVector, _square, basis_decomposition, square_and_shift, term
+from .sequences import TRIBONACCI, SeedVector, _squares, basis_decomposition, square_and_shift, term
 
 _mul_count = 0
 
@@ -115,12 +126,37 @@ def fast_term(seed: SeedVector, n: int) -> int:
         j, k, p, r = k, j, r, p
     xj, xk = x[j], x[k]
     if p:
-        l2 = p * xj + q * xk
-        den, total = a * p, p * _square(l1) + _square(l2) + (p * r - q * q) * _square(xk)
+        s1, s2, s3 = _squares((l1, p * xj + q * xk, xk))
+        den, total = a * p, p * s1 + s2 + (p * r - q * q) * s3
     else:
-        u, v = xj + xk, xj - xk
-        den, total = 2 * a, 2 * _square(l1) + q * (_square(u) - _square(v))
+        s1, s2, s3 = _squares((l1, xj + xk, xj - xk))
+        den, total = 2 * a, 2 * s1 + q * (s2 - s3)
     return total // den
+
+
+class OverBudget(Exception):
+    """An output whose ``term_bits`` estimate is past a caller's budget."""
+
+
+def term_bits(seed: SeedVector, lo: int, hi: int) -> int:
+    """An upper bound on the total bit length of W(lo), ..., W(hi), from the
+    indices and the seed alone: no term is computed.
+
+    W(n) = A a^n + B b^n + C c^n over the roots of x^3 - x^2 - x - 1, with
+    a = 1.8393, |b| = |c| = a^(-1/2) and |A| + |B| + |C| < 3.19 max |w_i|.
+    So W(n) has at most 0.88 bits per step of n > 0 (log2 a = 0.8791) and
+    0.44 per step of n < 0, plus the seed's bits, plus 3.  0 for lo > hi.
+    """
+    if lo > hi:
+        return 0
+    per_term = max(abs(w).bit_length() for w in seed) + 3
+
+    def index_sum(a: int, b: int) -> int:  # sum of n over max(a, 1) <= n <= b
+        a = max(a, 1)
+        return (a + b) * (b - a + 1) // 2 if a <= b else 0
+
+    steps = 88 * index_sum(lo, hi) + 44 * index_sum(-hi, -lo)
+    return -(-steps // 100) + (hi - lo + 1) * per_term
 
 
 def matrix_power_term(seed: SeedVector, n: int) -> int:

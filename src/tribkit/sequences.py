@@ -8,6 +8,9 @@ exact Python integer arithmetic; no rounding occurs anywhere.
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 from typing import NamedTuple
 
 
@@ -102,9 +105,10 @@ def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tup
     division by 3; the square's coefficients d0..d4 reduce by
     x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1.  One loop over the bits.
 
-    The five squares go through ``_square``, which picks ``x * x`` or Toom-4
-    by each operand's size.  Either way a bit costs five squares of the
-    algorithm, the count ``fasteval.mul_count`` keeps.
+    The five squares go through ``_squares``, one batch per bit, and each
+    through ``_square``, which picks ``x * x`` or Toom-4 by the operand's
+    size.  Either way a bit costs five squares of the algorithm, the count
+    ``fasteval.mul_count`` keeps.
     """
     for bit in bits:
         p = c0 + c2
@@ -113,7 +117,7 @@ def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tup
         r = q + 3 * c2 - c1  # c0 - 2c1 + 4c2
         # v0 = d0, v4 = d4, p = d0 + d1 + d2 + d3 + d4,
         # q = d0 - d1 + d2 - d3 + d4, r = d0 - 2d1 + 4d2 - 8d3 + 16d4
-        v0, v4, p, q, r = _square(c0), _square(c2), _square(p), _square(q), _square(r)
+        v0, v4, p, q, r = _squares((c0, c2, p, q, r))
         t = ((q - v0 - (r - p) // 3) >> 1) + 3 * v4  # d3 + d4
         # c0 = d0 + d3 + d4, c1 = d1 + d3 + 2d4, c2 = d2 + d3 + 2d4
         c0, c1, c2 = v0 + t, ((p - q) >> 1) + 2 * v4, ((p + q) >> 1) - v0 + t
@@ -187,6 +191,174 @@ def _square(x: int) -> int:
     while low:
         out = (out << k) + low.pop()
     return out
+
+
+#: Largest operand size in bits that ``_squares`` squares all by itself.
+#: Back to back, splitting ``fasteval.fast_term``'s finish won from about
+#: 11,400 bits.  A worker that has idled pays 40-140 us to wake, and a
+#: three-square batch after 5 ms idle won only from about 20,000 bits
+#: (277 against 332 us, best of 40; 2 shared vCPUs, Python 3.11.7).
+_SPLIT_BITS = 20_000
+
+#: (pid, request writer, reply reader) of the squaring worker, or None.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _squares(xs: tuple[int, ...]) -> list[int]:
+    """[_square(x) for x in xs], for independent operands, on two CPUs when
+    they are big.
+
+    Once the largest operand has more than ``_SPLIT_BITS`` bits and a worker
+    is usable (``_can_fork``), the last len(xs) // 2 operands go to one
+    long-lived forked child, which squares them with ``_square`` while this
+    process squares the rest; the values are the same either way.  The
+    worker is forked on first use and reads length-prefixed
+    ``int.to_bytes`` frames from one pipe and answers on another.  A thread
+    that finds the worker busy squares its batch itself.  Any exception
+    between the request and the reply discards the worker, so no later
+    batch can read a stale reply; a broken pipe or a dead worker is
+    answered by squaring the batch here, anything else is raised.
+    """
+    for x in xs:
+        if x.bit_length() > _SPLIT_BITS:
+            if _worker_lock.acquire(False):
+                try:
+                    return _split_squares(xs)
+                finally:
+                    _worker_lock.release()
+            break
+    return [_square(x) for x in xs]
+
+
+def _split_squares(xs: tuple[int, ...]) -> list[int]:
+    """``_squares`` past the split, under ``_worker_lock``."""
+    global _worker
+    if _worker is None and _can_fork():
+        _worker = _fork_worker()
+    if _worker is not None:
+        _, requests, replies = _worker
+        split = len(xs) - len(xs) // 2
+        try:
+            _write_ints(requests, xs[split:])
+            mine = [_square(x) for x in xs[:split]]
+            return mine + _read_ints(replies)
+        except (EOFError, OSError):  # the worker died or its pipe broke
+            _discard_worker()
+        except BaseException:
+            _discard_worker()
+            raise
+    return [_square(x) for x in xs]
+
+
+def _can_fork() -> bool:
+    """A worker can help and be forked safely: this process may run on two
+    CPUs and has no second thread that a fork would leave behind."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return (
+        hasattr(os, "fork")
+        and affinity is not None
+        and len(affinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _fork_worker():
+    """Fork the squaring worker: (pid, request writer, reply reader), or None
+    if the pipes or the fork cannot be had."""
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    request_r, request_w, reply_r, reply_w = fds
+    if pid == 0:  # the worker: never returns into the caller's code
+        try:
+            os.close(request_w)
+            os.close(reply_r)
+            with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
+                while True:  # until EOF: the parent closed its end or died
+                    squares = [_square(x) for x in _read_ints(requests)]
+                    _write_ints(replies, squares)
+        finally:
+            os._exit(0)
+    os.close(request_r)
+    os.close(reply_w)
+    return pid, open(request_w, "wb"), open(reply_r, "rb")
+
+
+def _write_ints(f, xs) -> None:
+    """One frame: the count, then each int as its length and its signed
+    little-endian bytes, lengths as 8-byte little-endian integers."""
+    parts = [len(xs).to_bytes(8, "little")]
+    for x in xs:
+        data = x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
+        parts += len(data).to_bytes(8, "little"), data
+    f.write(b"".join(parts))
+    f.flush()
+
+
+def _read_ints(f) -> list[int]:
+    """The ints of one ``_write_ints`` frame; EOFError if the pipe ends first."""
+    def read(size: int) -> bytes:
+        data = f.read(size)
+        if len(data) < size:
+            raise EOFError("squaring worker pipe closed")
+        return data
+
+    out = []
+    for _ in range(int.from_bytes(read(8), "little")):
+        size = int.from_bytes(read(8), "little")
+        out.append(int.from_bytes(read(size), "little", signed=True))
+    return out
+
+
+def _discard_worker() -> None:
+    """Kill the worker, close its pipes and reap it."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is None:
+        return
+    import signal  # only here: importing it costs about 1 ms
+
+    pid, requests, replies = worker
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    for f in (requests, replies):
+        try:
+            f.close()
+        except OSError:  # unsent bytes of a broken request
+            pass
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped elsewhere
+        pass
+
+
+def _forget_worker() -> None:
+    """In a forked child: drop the parent's worker without touching it, and
+    close this copy of its pipes so that it still sees EOF when the parent
+    exits."""
+    global _worker, _worker_lock
+    worker, _worker = _worker, None
+    _worker_lock = threading.Lock()
+    if worker is not None:
+        for f in worker[1:]:
+            try:
+                f.close()
+            except OSError:
+                pass
+
+
+atexit.register(_discard_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 _SMALL_POWERS = {n: square_and_shift(1, 0, 0, bin(abs(n))[2:], n > 0) for n in range(-63, 64)}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tribkit
 from tribkit import (
     TRIBONACCI,
     TRIBONACCI_LUCAS,
@@ -22,6 +27,7 @@ from tribkit.cli import (
     EXIT_REFUTED,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    MAX_EVAL_BITS,
     main,
 )
 from tribkit.dsl import MAX_PRODUCTS
@@ -105,6 +111,37 @@ def test_eval_usage_errors(capsys):
 def test_eval_empty_range(capsys):
     code, out, err = run(capsys, "eval", "--seq", "T", "--range", "5..1")
     assert code == EXIT_USAGE and out == "" and "--range" in err
+
+
+@pytest.mark.parametrize("which", [("--n", "1000000000"), ("--range", "0..100000000")])
+def test_eval_over_budget_exits_at_once(which):
+    src = Path(tribkit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tribkit.cli", "eval", "--seq", "T", *which],
+        env=env, capture_output=True, text=True, timeout=1,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_UNSUPPORTED, "")
+    assert proc.stderr.startswith("over budget: eval output of up to ")
+    assert proc.stderr.endswith(f" bits is past MAX_EVAL_BITS = {MAX_EVAL_BITS}\n")
+
+
+def test_eval_budget_counts_a_range_in_total(capsys, monkeypatch):
+    seed = SeedVector(-917, 44, 3051)
+    monkeypatch.setattr("tribkit.cli.MAX_EVAL_BITS", fasteval.term_bits(seed, -40, 60))
+    code, out, _ = run(capsys, "eval", "--seed", "-917,44,3051", "--range", "-40..60")
+    assert code == EXIT_OK and len(out.split()) == 101
+    for argv in (("--range", "-41..60"), ("--range", "-40..61"), ("--n", "100000")):
+        code, out, err = run(capsys, "eval", "--seed", "-917,44,3051", *argv)
+        assert (code, out) == (EXIT_UNSUPPORTED, "") and "MAX_EVAL_BITS" in err
+
+
+def test_eval_budget_admits_the_documented_inputs():
+    # n = 10^7, and the largest inputs of the benchmark's cli and bigterm ops
+    for seed in (TRIBONACCI, TRIBONACCI_LUCAS, SeedVector(10**6, -(10**6), 10**6)):
+        for n in (10**7, -(10**7), 10**6, -(10**6), 10**5, -(10**5)):
+            assert fasteval.term_bits(seed, n, n) <= MAX_EVAL_BITS
+        assert fasteval.term_bits(seed, -300, 330) <= MAX_EVAL_BITS
 
 
 def test_derive_familiar_formula(capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,8 +18,10 @@ from tribkit import (
     matrix_power_term,
     term,
 )
-from tribkit.fasteval import digit_count, mul_count, reset_mul_count
-from tribkit.sequences import _TOOM4_BITS
+import tribkit
+from tribkit import fasteval, sequences
+from tribkit.fasteval import digit_count, mul_count, reset_mul_count, term_bits
+from tribkit.sequences import _SPLIT_BITS, _TOOM4_BITS
 
 from reference import term_mod
 from table1 import K_TABLE, T_TABLE
@@ -129,6 +135,80 @@ def test_zero_seed_and_negative_indices():
     for seed in (TRIBONACCI, TRIBONACCI_LUCAS, SeedVector(5, -3, 2)):
         for n in (-1, -2, -3, -4, -999, -1000, -2**12):
             assert fast_term(seed, n) == term(seed, n)
+
+
+# at 70,001, -140,001 and -(10^5 + 1) only the finish's squares pass the split
+@pytest.mark.parametrize("n", [70_001, -140_001, 10**5 + 1, -(10**5 + 1), 10**6, -(10**6)])
+def test_worker_changes_no_value_or_count(monkeypatch, n):
+    seed = SeedVector(10**30 - 7, -(10**30) + 3, 10**30 + 11)
+    results = {}
+    for mode in ("local", "worker"):
+        monkeypatch.setattr(sequences, "_can_fork", lambda: mode == "worker")
+        sequences._discard_worker()
+        reset_mul_count()
+        results[mode] = (fast_term(TRIBONACCI, n), fast_term(seed, n), mul_count())
+        assert (sequences._worker is not None) == (mode == "worker")
+        results[mode] += basis_decomposition(n)
+    sequences._discard_worker()
+    assert results["worker"] == results["local"]
+
+
+def test_each_batch_past_the_split_sends_one_request(monkeypatch):
+    monkeypatch.setattr(sequences, "_can_fork", lambda: True)
+    batches, requests = [], []
+
+    def recorded(squares):
+        def batch(xs):
+            batches.append((len(xs), max(map(int.bit_length, xs))))
+            return squares(xs)
+
+        return batch
+
+    monkeypatch.setattr(sequences, "_squares", recorded(sequences._squares))
+    monkeypatch.setattr(fasteval, "_squares", recorded(fasteval._squares))
+    write = sequences._write_ints
+    monkeypatch.setattr(
+        sequences, "_write_ints", lambda f, xs: requests.append(len(xs)) or write(f, xs)
+    )
+    for n in (10**6, -(10**6), 10**5 + 1, 70_001, 40_001):
+        batches.clear()
+        requests.clear()
+        fast_term(TRIBONACCI, n)
+        # five squares per bit of |n // 2|, then the finish's three
+        assert [k for k, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
+        assert requests == [k // 2 for k, bits in batches if bits > _SPLIT_BITS]
+        assert bool(requests) == (n != 40_001)
+
+
+def test_worker_is_reaped_when_the_process_exits():
+    script = (
+        "from tribkit import TRIBONACCI, fast_term, sequences\n"
+        "sequences._can_fork = lambda: True\n"
+        "fast_term(TRIBONACCI, 10**6)\n"
+        "print(sequences._worker[0])\n"
+    )
+    src = Path(tribkit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(out), 0)
+
+
+@pytest.mark.parametrize("seed", SPECS[:3] + [SeedVector(10**6, -(10**6), 7), SeedVector(-1, 0, 0)])
+def test_term_bits_bounds_the_bit_lengths(seed):
+    ns = [*range(-70, 71), 999, -999, 2**12, -(2**12), 10**5, -(10**5), 10**6 + 1, -(10**6 + 1)]
+    for n in ns:
+        bits = abs(fast_term(seed, n)).bit_length()
+        assert bits <= term_bits(seed, n, n) <= bits + 0.0011 * abs(n) + 50
+    lo, hi = -300, 300
+    exact = sum(abs(term(seed, n)).bit_length() for n in range(lo, hi + 1))
+    assert exact <= term_bits(seed, lo, hi) <= sum(term_bits(seed, n, n) for n in range(lo, hi + 1))
+    assert term_bits(seed, 5, 4) == 0
+    # every term counts, zeros too: each prints at least one digit
+    assert term_bits(SeedVector(0, 0, 0), -(10**8), 10**8) > 2 * 10**8
 
 
 def test_digit_count_growth():

@@ -1,3 +1,9 @@
+import os
+import random
+import signal
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,7 +16,8 @@ from tribkit import (
     term,
     term_range,
 )
-from tribkit.sequences import _TOOM4_BITS, _square, square_and_shift
+from tribkit import sequences
+from tribkit.sequences import _SPLIT_BITS, _TOOM4_BITS, _square, _squares, square_and_shift
 
 from table1 import K_TABLE, T_TABLE
 
@@ -143,3 +150,94 @@ def toom_operands(draw):
 @example(1 << _TOOM4_BITS)
 def test_toom4_square_matches_product(x):
     assert _square(x) == x * x
+
+
+@pytest.fixture(params=["worker", "local"])
+def worker_mode(request, monkeypatch):
+    """A batch past the split goes to a worker (forked even on one CPU), or
+    is squared here; each test starts and ends without a worker."""
+    monkeypatch.setattr(sequences, "_can_fork", lambda: request.param == "worker")
+    sequences._discard_worker()
+    yield request.param
+    sequences._discard_worker()
+
+
+def _operands(rng, count, bits):
+    """``count`` signed operands, the largest with exactly ``bits`` bits."""
+    xs = [rng.getrandbits(bits - 1) | 1 << (bits - 1)]
+    xs += [rng.getrandbits(rng.randint(1, bits)) for _ in range(count - 1)]
+    rng.shuffle(xs)
+    return tuple(-x if rng.random() < 0.5 else x for x in xs)
+
+
+@pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1, 40 * _SPLIT_BITS])
+def test_squares_batch_matches_products(worker_mode, bits):
+    rng = random.Random(bits)
+    for count in (1, 2, 3, 5):
+        xs = _operands(rng, count, bits)
+        assert _squares(xs) == [x * x for x in xs]
+    assert _squares((0, -(1 << bits - 1), -1)) == [0, 1 << 2 * bits - 2, 1]
+    # the worker exists exactly when a batch passed the split with it on
+    split = worker_mode == "worker" and bits > _SPLIT_BITS
+    assert (sequences._worker is not None) == split
+
+
+def test_exception_between_request_and_reply_discards_the_worker(worker_mode, monkeypatch):
+    rng = random.Random(5)
+    first, second = _operands(rng, 5, _SPLIT_BITS + 1000), _operands(rng, 5, _SPLIT_BITS + 1000)
+    _squares(first)
+    pid = sequences._worker and sequences._worker[0]
+    raised = []
+
+    def square_failing_once(x):
+        if not raised:
+            raised.append(x)
+            raise KeyboardInterrupt
+        return _square(x)
+
+    monkeypatch.setattr(sequences, "_square", square_failing_once)
+    with pytest.raises(KeyboardInterrupt):
+        _squares(first)
+    if pid:  # the worker that may hold the unread reply is gone
+        assert sequences._worker is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert _squares(second) == [x * x for x in second]
+
+
+def test_dead_worker_is_replaced_by_local_squares(worker_mode):
+    xs = _operands(random.Random(6), 5, _SPLIT_BITS + 1)
+    _squares(xs)
+    if worker_mode == "worker":
+        os.kill(sequences._worker[0], signal.SIGKILL)
+    assert _squares(xs) == [x * x for x in xs]
+    assert _squares(xs) == [x * x for x in xs]
+
+
+def test_threads_share_the_worker_without_mixing_replies(monkeypatch):
+    monkeypatch.setattr(sequences, "_can_fork", lambda: True)
+    rng = random.Random(7)
+    batches = [_operands(rng, 5, _SPLIT_BITS + 1 + 97 * i) for i in range(6)]
+    _squares(batches[0])  # fork the worker while this is the only thread
+    wrong = []
+
+    def square_all():
+        for _ in range(10):
+            for xs in batches:
+                if _squares(xs) != [x * x for x in xs]:
+                    wrong.append(xs)
+
+    threads = [threading.Thread(target=square_all) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert sequences._worker is not None
+    sequences._discard_worker()

@@ -45,3 +45,5 @@ def test_package_loads_only_stdlib_modules():
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "tribkit"
     ]
     assert outside == []
+    # the squaring worker is a plain os.fork, not a multiprocessing.Process
+    assert [name for name in loaded if name.partition(".")[0] == "multiprocessing"] == []
