@@ -18,7 +18,7 @@ from .derive import (
     template_to_ast,
 )
 from .numtext import format_int
-from .sequences import NAMED, SeedVector, term_range
+from .sequences import NAMED, TRIBONACCI, SeedVector, term_range
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -28,9 +28,17 @@ EXIT_MISMATCH = 4
 
 SCHEMA_VERSION = 4
 
-#: The most bits ``eval`` computes and prints, summed over a range
-#: (``fasteval.term_bits``).  W(10^7) has about 8.8 million bits.
+#: The most output bits a command computes, bounded before any arithmetic:
+#: ``eval``'s terms summed over a range (``fasteval.term_bits``), ``bench``'s
+#: values over its indices and ``derive``'s coefficients.  W(10^7) has about
+#: 8.8 million bits.
 MAX_EVAL_BITS = 1 << 24
+
+#: The most bits of the terms ``bench``'s ``iterate`` strategy steps through,
+#: ``fasteval.term_bits(TRIBONACCI, min(n, 0), max(n, 0))`` summed over its
+#: indices.  n = 10^5 costs 4.4e9 of them (0.33 s); n = 10^6 would cost
+#: 4.4e11 (about 25 s).
+MAX_ITERATE_BITS = 1 << 34
 
 #: The one place exit codes 2-4 are decided: each exception a command may
 #: raise, most specific class first, with its exit code and stderr prefix.
@@ -58,6 +66,13 @@ def _report(exc: Exception, context: str = "") -> int:
         if isinstance(exc, cls):
             print(f"{context}{prefix}{exc}", file=sys.stderr)
             return code
+
+
+def _within_budget(what: str, bits: int, name: str, limit: int) -> None:
+    """Refuse with ``OverBudget`` (exit 3) a command whose ``bits``, bounded
+    from its arguments alone, are past the constant ``name`` = ``limit``."""
+    if bits > limit:
+        raise fasteval.OverBudget(f"{what} of up to {bits} bits is past {name} = {limit}")
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -163,11 +178,7 @@ def _cmd_eval(args) -> int:
             raise ValueError("--seed needs three comma-separated integers w0,w1,w2")
         seed = SeedVector(*w)
     lo, hi = (args.n, args.n) if args.n is not None else _parse_range(args.range_)
-    bits = fasteval.term_bits(seed, lo, hi)
-    if bits > MAX_EVAL_BITS:
-        raise fasteval.OverBudget(
-            f"eval output of up to {bits} bits is past MAX_EVAL_BITS = {MAX_EVAL_BITS}"
-        )
+    _within_budget("eval output", fasteval.term_bits(seed, lo, hi), "MAX_EVAL_BITS", MAX_EVAL_BITS)
     values = [fasteval.fast_term(seed, lo)] if args.n is not None else term_range(seed, lo, hi)
     for v in values:
         print(format_int(v))
@@ -178,6 +189,13 @@ def _cmd_derive(args) -> int:
     offsets = _parse_ints(args.offsets, "--offsets")
     if len(offsets) != 3 or len(set(offsets)) != 3:
         raise ValueError("--offsets needs three pairwise distinct integers")
+    # det M and each of the nine coefficients is a sum of at most six products
+    # of three terms at indices of size at most t (``derive`` module
+    # docstring: anchors at o_i - o_j, coordinates at -o_j + 1 or + 2), so
+    # the ten have at most 10 * (3 * term_bits + 3) bits.
+    t = 2 * max(map(abs, offsets)) + 2
+    bits = 30 * (fasteval.term_bits(NAMED[args.basis], t, t) + 1)
+    _within_budget("derive output", bits, "MAX_EVAL_BITS", MAX_EVAL_BITS)
     fn = (
         derive_tribonacci_basis
         if args.basis == "T"
@@ -264,6 +282,11 @@ def _cmd_corpus(args) -> int:
 def _cmd_bench(args) -> int:
     ns = _parse_ints(args.n, "--n")
     strategies = tuple(s for s in args.strategies.split(",") if s)
+    values = sum(fasteval.term_bits(TRIBONACCI, n, n) for n in ns)
+    _within_budget("bench values", values, "MAX_EVAL_BITS", MAX_EVAL_BITS)
+    if "iterate" in strategies:
+        steps = sum(fasteval.term_bits(TRIBONACCI, min(n, 0), max(n, 0)) for n in ns)
+        _within_budget("bench iterate work", steps, "MAX_ITERATE_BITS", MAX_ITERATE_BITS)
     rows = fasteval.bench(ns, strategies)
     print("n,strategy,nanoseconds,digits")
     for row in rows:

@@ -36,29 +36,13 @@ Hence some diagonal entry W(o), W(o+2), W(o+4) is nonzero (a Hankel H with
 all three zero has two proportional rows), and det R = a * det H != 0, so R
 has a nonzero diagonal entry or q != 0.  The zero seed gives 0.
 
-Squares.  Past ``sequences._TOOM4_BITS`` (26,000) bits, both the kernel's
-five squares and the finish's three go through ``sequences._square``:
-Toom-4, which splits an operand into four limbs of k bits, squares the limb
-polynomial at t = 0, 1, -1, 2, -2, 3 and infinity, and interpolates the
-seven coefficients of the square with exact shifts and exact divisions by
-3, 5 and 12 (the formulas are in its docstring).  The limbs are >= 0, so
-every coefficient d_j is >= 0 and every divided quantity is a nonnegative
-multiple of its divisor.  The coefficients of x^m mod f have about
-0.88 m bits for m > 0 and 0.44 |m| bits for m < 0, so the finish's squares
-pass the threshold from n of about 59,000 (n > 0) or -118,000 (n < 0),
-and the kernel's, which square x^(m/2), from twice that.  Below, the
-squares are the plain ``x * x`` products.
-
-Each kernel step's five squares and the finish's three are independent,
-so each set is one ``sequences._squares`` batch.  Past
-``sequences._SPLIT_BITS`` (20,000) bits, that is for the finish from n of
-about 45,000 (n > 0) or -91,000 (n < 0) and for the kernel from twice
-that, a forked worker process squares the last two of a step's five, or
-the last of the finish's three, while this process squares the rest, on
-the host's second CPU.  The worker squares with ``_square`` too, so the
-values and ``mul_count`` are the same as on one CPU.  Where no worker can
-be forked (one usable CPU, or a second thread running at the first big
-batch), every square stays in this process.
+Squares.  Each kernel step's five squares and the finish's three are
+independent, so each set is one ``sequences._squares`` batch, and every
+square goes through ``sequences._square``.  Past ``sequences._TOOM4_BITS``
+bits an operand is squared by Toom-4, and past ``sequences._SPLIT_BITS``
+bits a batch is shared with a forked worker process on a second CPU; the
+sizes, their measurements and the algorithms are documented there.  The
+values and ``mul_count`` are the same either way.
 
 ``mul_count`` counts the big-integer squares of the algorithm
 ``fast_term`` performs: 5 per bit of |m| in the kernel and 3 in the
@@ -149,14 +133,14 @@ def term_bits(seed: SeedVector, lo: int, hi: int) -> int:
     """
     if lo > hi:
         return 0
-    per_term = max(abs(w).bit_length() for w in seed) + 3
+    steps = 88 * _index_sum(lo, hi) + 44 * _index_sum(-hi, -lo)
+    return -(-steps // 100) + (hi - lo + 1) * (max(map(abs, seed)).bit_length() + 3)
 
-    def index_sum(a: int, b: int) -> int:  # sum of n over max(a, 1) <= n <= b
-        a = max(a, 1)
-        return (a + b) * (b - a + 1) // 2 if a <= b else 0
 
-    steps = 88 * index_sum(lo, hi) + 44 * index_sum(-hi, -lo)
-    return -(-steps // 100) + (hi - lo + 1) * per_term
+def _index_sum(a: int, b: int) -> int:
+    """The sum of n over max(a, 1) <= n <= b."""
+    a = max(a, 1)
+    return (a + b) * (b - a + 1) // 2 if a <= b else 0
 
 
 def matrix_power_term(seed: SeedVector, n: int) -> int:

@@ -209,45 +209,42 @@ def _squares(xs: tuple[int, ...]) -> list[int]:
     """[_square(x) for x in xs], for independent operands, on two CPUs when
     they are big.
 
-    Once the largest operand has more than ``_SPLIT_BITS`` bits and a worker
-    is usable (``_can_fork``), the last len(xs) // 2 operands go to one
-    long-lived forked child, which squares them with ``_square`` while this
-    process squares the rest; the values are the same either way.  The
-    worker is forked on first use and reads length-prefixed
-    ``int.to_bytes`` frames from one pipe and answers on another.  A thread
+    One size test per batch: both callers put an operand within a few bits
+    of their largest first, so only xs[0] is measured.  Once it has more
+    than ``_SPLIT_BITS`` bits and a worker is usable (``_can_fork``), the
+    last len(xs) // 2 operands go to one long-lived forked child, which
+    squares them with ``_square`` while this process squares the rest; the
+    values are the same either way.  The worker is forked on first use and
+    reads ``pickle`` frames from one pipe and answers on another.  A thread
     that finds the worker busy squares its batch itself.  Any exception
     between the request and the reply discards the worker, so no later
-    batch can read a stale reply; a broken pipe or a dead worker is
-    answered by squaring the batch here, anything else is raised.
+    batch can read a stale reply; a broken pipe, a dead worker or a reply
+    cut off mid-frame is answered by squaring the batch here, anything else
+    is raised.
     """
-    for x in xs:
-        if x.bit_length() > _SPLIT_BITS:
-            if _worker_lock.acquire(False):
-                try:
-                    return _split_squares(xs)
-                finally:
-                    _worker_lock.release()
-            break
-    return [_square(x) for x in xs]
-
-
-def _split_squares(xs: tuple[int, ...]) -> list[int]:
-    """``_squares`` past the split, under ``_worker_lock``."""
     global _worker
-    if _worker is None and _can_fork():
-        _worker = _fork_worker()
-    if _worker is not None:
-        _, requests, replies = _worker
-        split = len(xs) - len(xs) // 2
+    if xs[0].bit_length() > _SPLIT_BITS and _worker_lock.acquire(False):
         try:
-            _write_ints(requests, xs[split:])
-            mine = [_square(x) for x in xs[:split]]
-            return mine + _read_ints(replies)
-        except (EOFError, OSError):  # the worker died or its pipe broke
-            _discard_worker()
-        except BaseException:
-            _discard_worker()
-            raise
+            import pickle  # only here: importing it costs 2-3 ms
+
+            if _worker is None and _can_fork():
+                _worker = _fork_worker()
+            if _worker is not None:
+                _, requests, replies = _worker
+                split = len(xs) - len(xs) // 2
+                try:
+                    pickle.dump(xs[split:], requests, pickle.HIGHEST_PROTOCOL)
+                    requests.flush()
+                    mine = [_square(x) for x in xs[:split]]
+                    return mine + pickle.load(replies)
+                except (EOFError, OSError, pickle.UnpicklingError):
+                    # the worker died, its pipe broke or its reply was cut off
+                    _discard_worker()
+                except BaseException:
+                    _discard_worker()
+                    raise
+        finally:
+            _worker_lock.release()
     return [_square(x) for x in xs]
 
 
@@ -278,43 +275,20 @@ def _fork_worker():
     request_r, request_w, reply_r, reply_w = fds
     if pid == 0:  # the worker: never returns into the caller's code
         try:
+            import pickle
+
             os.close(request_w)
             os.close(reply_r)
             with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
                 while True:  # until EOF: the parent closed its end or died
-                    squares = [_square(x) for x in _read_ints(requests)]
-                    _write_ints(replies, squares)
+                    squares = [_square(x) for x in pickle.load(requests)]
+                    pickle.dump(squares, replies, pickle.HIGHEST_PROTOCOL)
+                    replies.flush()
         finally:
             os._exit(0)
     os.close(request_r)
     os.close(reply_w)
     return pid, open(request_w, "wb"), open(reply_r, "rb")
-
-
-def _write_ints(f, xs) -> None:
-    """One frame: the count, then each int as its length and its signed
-    little-endian bytes, lengths as 8-byte little-endian integers."""
-    parts = [len(xs).to_bytes(8, "little")]
-    for x in xs:
-        data = x.to_bytes((x.bit_length() + 8) // 8, "little", signed=True)
-        parts += len(data).to_bytes(8, "little"), data
-    f.write(b"".join(parts))
-    f.flush()
-
-
-def _read_ints(f) -> list[int]:
-    """The ints of one ``_write_ints`` frame; EOFError if the pipe ends first."""
-    def read(size: int) -> bytes:
-        data = f.read(size)
-        if len(data) < size:
-            raise EOFError("squaring worker pipe closed")
-        return data
-
-    out = []
-    for _ in range(int.from_bytes(read(8), "little")):
-        size = int.from_bytes(read(8), "little")
-        out.append(int.from_bytes(read(size), "little", signed=True))
-    return out
 
 
 def _discard_worker() -> None:

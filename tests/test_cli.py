@@ -28,6 +28,7 @@ from tribkit.cli import (
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
     MAX_EVAL_BITS,
+    MAX_ITERATE_BITS,
     main,
 )
 from tribkit.dsl import MAX_PRODUCTS
@@ -420,6 +421,34 @@ def test_bench_csv(capsys):
     assert len(lines) == 5
 
 
+def test_bench_budget_counts_every_index(capsys, monkeypatch):
+    values = sum(fasteval.term_bits(TRIBONACCI, n, n) for n in (101, -51))
+    steps = fasteval.term_bits(TRIBONACCI, 0, 100) + fasteval.term_bits(TRIBONACCI, -50, 0)
+    monkeypatch.setattr("tribkit.cli.MAX_EVAL_BITS", values)
+    monkeypatch.setattr("tribkit.cli.MAX_ITERATE_BITS", steps)
+    assert run(capsys, "bench", "--n", "100,-50")[0] == EXIT_OK
+    for ns, strategies, limit in (
+        ("101,-50", "iterate", "MAX_ITERATE_BITS"),
+        ("100,-51", "iterate", "MAX_ITERATE_BITS"),
+        ("101,-51,0", "double", "MAX_EVAL_BITS"),
+    ):
+        code, out, err = run(capsys, "bench", "--n", ns, "--strategies", strategies)
+        assert (code, out) == (EXIT_UNSUPPORTED, "") and limit in err
+    # iterate's work is priced only when iterate runs
+    assert run(capsys, "bench", "--n", "101,-51", "--strategies", "double,matrix")[0] == EXIT_OK
+
+
+def test_budgets_admit_the_documented_inputs(capsys):
+    # bench's iterate at n = 10^5, and the cli workload's bench ops (two n <= 10^4)
+    assert fasteval.term_bits(TRIBONACCI, 0, 10**5) <= MAX_ITERATE_BITS
+    assert 2 * fasteval.term_bits(TRIBONACCI, 0, 10**4) <= MAX_ITERATE_BITS
+    assert 2 * fasteval.term_bits(TRIBONACCI, 10**4, 10**4) <= MAX_EVAL_BITS
+    # derive's bound grows with max |offset|, largest here over the triples
+    # in [-12, 12]
+    for basis in ("T", "K"):
+        assert run(capsys, "derive", "--basis", basis, "--offsets", "-12,0,12")[0] == EXIT_OK
+
+
 def test_bench_usage_error(capsys):
     assert run(capsys, "bench", "--strategies", "double")[0] == EXIT_USAGE
     assert run(capsys, "bench", "--n", "10", "--strategies", "")[0] == EXIT_USAGE
@@ -460,6 +489,17 @@ CORPUS_FILES = {
          "--offsets must be comma-separated integers"),
         (["bench", "--n", "5,x"], EXIT_USAGE,
          "--n must be comma-separated integers"),
+        # refused from the arguments alone, before any arithmetic
+        (["bench", "--n", "100000000"], EXIT_UNSUPPORTED,
+         "over budget: bench values of up to 88000004 bits is past MAX_EVAL_BITS = 16777216"),
+        (["bench", "--n", "1000000"], EXIT_UNSUPPORTED,
+         "over budget: bench iterate work of up to 440004440004 bits is past"
+         " MAX_ITERATE_BITS = 17179869184"),
+        (["bench", "--n", "10000000", "--strategies", "iterate"], EXIT_UNSUPPORTED,
+         "over budget: bench iterate work of up to 44000044400004 bits is past"
+         " MAX_ITERATE_BITS = 17179869184"),
+        (["derive", "--basis", "T", "--offsets", "0,1,100000000"], EXIT_UNSUPPORTED,
+         "over budget: derive output of up to 5280000210 bits is past MAX_EVAL_BITS = 16777216"),
     ],
 )
 def test_failure_table_rows(tmp_path, capsys, monkeypatch, argv, code, err):

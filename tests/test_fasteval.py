@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -159,25 +160,36 @@ def test_each_batch_past_the_split_sends_one_request(monkeypatch):
 
     def recorded(squares):
         def batch(xs):
-            batches.append((len(xs), max(map(int.bit_length, xs))))
+            batches.append((len(xs), xs[0].bit_length(), max(map(int.bit_length, xs))))
             return squares(xs)
 
         return batch
 
     monkeypatch.setattr(sequences, "_squares", recorded(sequences._squares))
     monkeypatch.setattr(fasteval, "_squares", recorded(fasteval._squares))
-    write = sequences._write_ints
-    monkeypatch.setattr(
-        sequences, "_write_ints", lambda f, xs: requests.append(len(xs)) or write(f, xs)
-    )
+    # the parent pickles exactly one frame per request
+    dump = pickle.dump
+    monkeypatch.setattr(pickle, "dump", lambda obj, *args: requests.append(len(obj)) or dump(obj, *args))
     for n in (10**6, -(10**6), 10**5 + 1, 70_001, 40_001):
         batches.clear()
         requests.clear()
         fast_term(TRIBONACCI, n)
         # five squares per bit of |n // 2|, then the finish's three
-        assert [k for k, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
-        assert requests == [k // 2 for k, bits in batches if bits > _SPLIT_BITS]
+        assert [k for k, _, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
+        # the first operand alone decides, and it is near enough the largest
+        # that deciding by the largest would split the same batches
+        assert requests == [k // 2 for k, first, _ in batches if first > _SPLIT_BITS]
+        assert [first > _SPLIT_BITS for _, first, _ in batches] == [
+            top > _SPLIT_BITS for _, _, top in batches
+        ]
         assert bool(requests) == (n != 40_001)
+    big, small = 1 << _SPLIT_BITS, 3
+    requests.clear()
+    assert sequences._squares((small, big)) == [small * small, big * big]
+    assert requests == []
+    assert sequences._squares((big, small)) == [big * big, small * small]
+    assert requests == [1]
+    sequences._discard_worker()
 
 
 def test_worker_is_reaped_when_the_process_exits():

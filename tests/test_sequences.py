@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import signal
 import sys
@@ -163,10 +164,10 @@ def worker_mode(request, monkeypatch):
 
 
 def _operands(rng, count, bits):
-    """``count`` signed operands, the largest with exactly ``bits`` bits."""
+    """``count`` signed operands, the first and largest with exactly ``bits``
+    bits, as ``_squares``' callers order them."""
     xs = [rng.getrandbits(bits - 1) | 1 << (bits - 1)]
     xs += [rng.getrandbits(rng.randint(1, bits)) for _ in range(count - 1)]
-    rng.shuffle(xs)
     return tuple(-x if rng.random() < 0.5 else x for x in xs)
 
 
@@ -212,6 +213,31 @@ def test_dead_worker_is_replaced_by_local_squares(worker_mode):
         os.kill(sequences._worker[0], signal.SIGKILL)
     assert _squares(xs) == [x * x for x in xs]
     assert _squares(xs) == [x * x for x in xs]
+
+
+def test_reply_cut_off_mid_frame_is_squared_here(monkeypatch):
+    def fork_half_replying_worker():
+        """A worker that answers its first request with half a frame and exits."""
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
+                    frame = pickle.dumps([x * x for x in pickle.load(requests)], pickle.HIGHEST_PROTOCOL)
+                    replies.write(frame[: len(frame) // 2])
+            finally:
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        return pid, open(request_w, "wb"), open(reply_r, "rb")
+
+    monkeypatch.setattr(sequences, "_can_fork", lambda: True)
+    monkeypatch.setattr(sequences, "_fork_worker", fork_half_replying_worker)
+    sequences._discard_worker()
+    xs = _operands(random.Random(8), 5, _SPLIT_BITS + 1)
+    assert _squares(xs) == [x * x for x in xs]
+    assert sequences._worker is None
 
 
 def test_threads_share_the_worker_without_mixing_replies(monkeypatch):
