@@ -1,6 +1,13 @@
 """Workbench for generalized Tribonacci sequences: exact terms at any
 integer index, mechanically derived addition formulas, and finite-window
-certification of linear, quadratic, and cubic identities."""
+certification of linear, quadratic, and cubic identities.
+
+The function ``certify`` is re-exported here under its submodule's name, so
+the attribute ``tribkit.certify`` is the function, and so is ``m`` after
+``import tribkit.certify as m``.  ``from tribkit.certify import ...`` reads
+the module as usual, and ``importlib.import_module("tribkit.certify")``
+returns it.
+"""
 
 from .certify import (
     Certificate,

@@ -8,12 +8,14 @@ refutation and its counterexample are exactly the ones the full grid finds.
    seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3),
    as a residue modulo the prime 2^61 - 1, so a large exponent costs a
    modular power, not a huge integer.  It reads its terms through the
-   grid's lookups and evaluator (step 3).  A nonzero residue means a
-   nonzero value, which proves the identity false (one nonzero evaluation
-   suffices; Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then
-   finds the canonical counterexample.  A zero residue proves nothing, and
-   step 2 runs.  The probe never verifies: it only orders the work, and
-   true identities never reach the grid.
+   grid's lookups and evaluator (step 3); at |n| < 64 its T, K and W
+   terms come from the fixed tables described there, which hold the exact
+   values a lookup computes, so the residue does not change.  A nonzero
+   residue means a nonzero value, which proves the identity false (one
+   nonzero evaluation suffices; Schwartz, J. ACM 27(4), 1980), and the
+   grid of step 3 then finds the canonical counterexample.  A zero residue
+   proves nothing, and step 2 runs.  The probe never verifies: it only
+   orders the work, and true identities never reach the grid.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -116,10 +118,18 @@ refutation and its counterexample are exactly the ones the full grid finds.
    points, however large d_W.  The zero seed point zeroes every W factor:
    when every monomial has one, lhs - rhs is zero there, and the grid
    skips it.  ``evaluations`` counts the grid points evaluated, so a
-   normal-form verdict reports 0.  No table is built: a point looks its
-   terms up, each computed on first use (``matrix_power_term``) and kept
-   for the rest of its seed point, so a refutation costs only the terms
-   its points read, however long the window.
+   normal-form verdict reports 0.  No table is built for a call: a point
+   looks its terms up, each computed on first use (``matrix_power_term``)
+   and kept for the rest of the call (T and K, which every seed point
+   shares) or of its seed point (W), so a refutation costs only the terms
+   its points read, however long the window.  The lookups of T, K, the
+   probe's seed and the first nonzero seed point (0, 0, 1), where almost
+   every refutation ends, start as copies of fixed tables for |n| < 64
+   (``_SMALL_TERMS``).  These are built at import from the table that
+   ``basis_decomposition`` itself reads at those indices, as the dot
+   product ``matrix_power_term`` computes, so they hold the very values a
+   lookup would compute: no value, verdict or count changes, and nothing
+   a call computes outlives it.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -127,17 +137,26 @@ does not satisfy the recurrence, which would break the dimension argument.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .dsl import VARS, IdentityAst, Side, degree_profile
+from .dsl import VARS, IdentityAst, Side, side_profile
 from .fasteval import matrix_power_term
-from .sequences import NAMED, SeedVector, basis_decomposition
+from .sequences import _SMALL_POWERS, NAMED, SeedVector, basis_decomposition
 
 #: The probe point of step 1, and the prime its value is reduced by.
 _PROBE_SEED = SeedVector(2, -3, 5)
 _PROBE_AT = {"r": 7, "s": 11}
 _PROBE_MOD = 2**61 - 1
+
+#: Exact terms at |n| < 64 of T, K, the probe's seed and the grid's first
+#: nonzero seed point, read at import from the table ``basis_decomposition``
+#: keeps for those indices (module docstring, steps 1 and 3).
+_SMALL_TERMS = {
+    seed: {n: matrix_power_term(seed, n) for n in _SMALL_POWERS}
+    for seed in (*NAMED.values(), _PROBE_SEED, SeedVector(0, 0, 1))
+}
 
 #: The norm N(c0 + c1 x + c2 x^2) by exponents of (c0, c1, c2) (step 2).
 _NORM = {
@@ -196,23 +215,17 @@ def window_bound(d: int) -> int:
     return comb(d + 2, 2)
 
 
-def _check_supported(side: Side) -> None:
-    for mono, _ in side:
-        if not mono:
-            raise UnsupportedTerm("bare constant term is outside certify's scope")
-        for (sym, vs, off), _e in mono:
-            if not vs:
-                raise UnsupportedTerm(
-                    f"absolute-index factor {sym}({off}) is outside certify's scope"
-                )
-
-
 class _Terms(dict):
-    """Values of one sequence by index, each computed on first use."""
+    """Values of one sequence by index: a copy of the seed's ``_SMALL_TERMS``
+    table if it has one, any other index computed on first use
+    (``matrix_power_term``)."""
 
     __slots__ = ("seed",)
 
     def __init__(self, seed: SeedVector):
+        table = _SMALL_TERMS.get(seed)
+        if table:
+            self.update(table)
         self.seed = seed
 
     def __missing__(self, n: int) -> int:
@@ -222,7 +235,7 @@ class _Terms(dict):
 
 def _lookups(seed: SeedVector) -> dict[str, _Terms]:
     """The T, K and W lookups for one seed point, W having ``seed``."""
-    return {sym: _Terms(v) for sym, v in {**NAMED, "W": seed}.items()}
+    return {"T": _Terms(NAMED["T"]), "K": _Terms(NAMED["K"]), "W": _Terms(seed)}
 
 
 def _evaluate(
@@ -242,14 +255,35 @@ def _evaluate(
     return total if mod is None else total % mod
 
 
-def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _mul(a: dict[int, int], b: dict[int, int], out: dict | None = None) -> dict[int, int]:
+    """a * b, added into ``out`` when one is given."""
+    if out is None:
+        out = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
+
+
+@lru_cache(maxsize=32)
+def _layout(width: int) -> tuple:
+    """The keys of X_0..X_2 and of Z_v,0..Z_v,2 per variable, and per
+    variable the rewrite of Z_v,0^3 as (shift and mask of the Z_v,0 field,
+    key of Z_v,0^3, [(key, coefficient)] of 1 - N(Z_v) + Z_v,0^3), for
+    fields of ``width`` bits.  Built once per width; only the 32 widths
+    used last are kept, since the keys of a huge exponent's width are huge."""
+    x_keys = [1 << (width * i) for i in range(3)]
+    z_keys = {
+        v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
+    }
+    rules = []
+    for z in z_keys.values():
+        rule = [(0, 1)]
+        rule += [(sum(a * b for a, b in zip(e, z)), -c) for e, c in _NORM.items() if e[0] < 3]
+        rules.append((z[0].bit_length() - 1, (1 << width) - 1, 3 * z[0], rule))
+    return x_keys, z_keys, rules
 
 
 def _normal_form(diff: Side) -> dict[int, int]:
@@ -260,13 +294,20 @@ def _normal_form(diff: Side) -> dict[int, int]:
     order; the empty dict means the identity holds for all r, s and seeds,
     any other result that it is false.
     """
-    width = max(sum(e for _, e in mono) for mono, _ in diff).bit_length()
-    x_keys = [1 << (width * i) for i in range(3)]
-    z_keys = {
-        v: [1 << (width * (3 * j + 3 + i)) for i in range(3)] for j, v in enumerate(VARS)
-    }
-    w_vars = [vs for mono, _ in diff for (sym, vs, _), _ in mono if sym == "W"]
-    base = next((b for b in VARS if all(b in vs for vs in w_vars)), None)
+    degree = 0  # the largest monomial degree D
+    w_vars = set()  # the index variables of each W factor
+    for mono, _ in diff:
+        d = 0
+        for (sym, vs, _), e in mono:
+            d += e
+            if sym == "W":
+                w_vars.add(vs)
+        if d > degree:
+            degree = d
+    x_keys, z_keys, rules = _layout(degree.bit_length())
+    shared = set(VARS).intersection(*w_vars)
+    base = next((b for b in VARS if b in shared), None)  # in every W factor
+    z_vars = {vs: tuple(v for v in vs if v != base) for vs in w_vars}  # a W factor's Z_v
 
     def factor(sym: str, vs: tuple[str, ...], k: int) -> dict[int, int]:
         """sym(sum(vs) + k).  Applying c(v + m) = sum_j Z_v,j c(m + j) per
@@ -274,7 +315,7 @@ def _normal_form(diff: Side) -> dict[int, int]:
         its coefficient is sym(n), or c_i(n) times X_i for W.
         """
         if sym == "W":
-            vs = tuple(v for v in vs if v != base)
+            vs = z_vars[vs]
         terms = [(0, k)]  # (key of prod_v Z_v,j_v, n)
         for v in vs:
             terms = [(key + z, n + j) for key, n in terms for j, z in enumerate(z_keys[v])]
@@ -283,34 +324,36 @@ def _normal_form(diff: Side) -> dict[int, int]:
                 key + x: c for key, n in terms for x, c in zip(x_keys, basis_decomposition(n)) if c
             }
         seed = NAMED[sym]
-        return {key: value for key, n in terms if (value := matrix_power_term(seed, n))}
+        small = _SMALL_TERMS[seed]
+        return {
+            key: value
+            for key, n in terms
+            if (value := small[n] if -64 < n < 64 else matrix_power_term(seed, n))
+        }
 
     factors: dict = {}
     total: dict[int, int] = {}
-    get = total.get
     for mono, coeff in diff:
+        if not mono:
+            total[0] = total.get(0, 0) + coeff
         p = {0: coeff}
-        for f, e in mono:
+        # the monomial's last product goes straight into the total
+        for last, (f, e) in enumerate(mono, 1 - len(mono)):
             if f not in factors:
                 factors[f] = factor(*f)
-            for _ in range(e):
+            for _ in range(e - 1):
                 p = _mul(p, factors[f])
-        for k, c in p.items():
-            total[k] = get(k, 0) + c
+            p = _mul(p, factors[f], None if last else total)
+    if not any(total.values()):
+        return {}
     total = {k: c for k, c in total.items() if c}
-    if not total:
-        return total
     get = total.get
-    mask = (1 << width) - 1
-    for z in z_keys.values():
+    for shift, mask, cube, rule in rules:
         # Z_v,0^3 -> Z_v,0^3 - N(Z_v) + 1, by levels of Z_v,0, highest first
-        shift = z[0].bit_length() - 1
-        rule = [(0, 1)]
-        rule += [(sum(a * b for a, b in zip(e, z)), -c) for e, c in _NORM.items() if e[0] < 3]
         for level in range(max((k >> shift & mask for k in total), default=0), 2, -1):
             for k in [k for k in total if k >> shift & mask == level]:
                 c = total.pop(k)
-                base = k - 3 * z[0]
+                base = k - cube
                 for key, n in rule:
                     total[base + key] = get(base + key, 0) + c * n
     return {k: c for k, c in total.items() if c}
@@ -322,6 +365,17 @@ def _probe(diff: Side) -> int:
     return _evaluate(diff, _lookups(_PROBE_SEED), _PROBE_AT["r"], _PROBE_AT["s"], _PROBE_MOD)
 
 
+def _every_monomial_has_w(diff: Side) -> bool:
+    """Whether the zero seed point zeroes every monomial (step 3)."""
+    for mono, _ in diff:
+        for (sym, _, _), _ in mono:
+            if sym == "W":
+                break
+        else:
+            return False
+    return True
+
+
 def _grid(
     ast: IdentityAst, diff: Side, windows: dict[str, int], seeds
 ) -> tuple[int, Counterexample | None]:
@@ -330,21 +384,24 @@ def _grid(
     Returns the evaluation count and the first point where diff is nonzero,
     or None for a true identity (which only tests, as the full-grid
     reference, pass).
-    Each seed point has its own lookups.  When every monomial has a W
-    factor, the zero seed point is skipped.
+    Each seed point has its own W lookup; the T and K lookups serve them
+    all.  When every monomial has a W factor, the zero seed point is
+    skipped.
     """
-    all_w = all(any(sym == "W" for (sym, _, _), _ in mono) for mono, _ in diff)
+    all_w = _every_monomial_has_w(diff)
     evaluations = 0
+    terms = _lookups(SeedVector(0, 0, 0))  # T and K, shared by the seed points
     for seed in seeds:
         if all_w and not any(seed):
             continue
-        terms = _lookups(SeedVector(*seed))
+        terms["W"] = _Terms(SeedVector(*seed))
         for r in range(windows["r"]):
             for s in range(windows["s"]):
                 evaluations += 1
                 if _evaluate(diff, terms, r, s) != 0:
-                    sides = (_evaluate(side, terms, r, s) for side in (ast.lhs, ast.rhs))
-                    return evaluations, Counterexample(seed, r, s, *sides)
+                    lhs = _evaluate(ast.lhs, terms, r, s)
+                    rhs = _evaluate(ast.rhs, terms, r, s)
+                    return evaluations, Counterexample(seed, r, s, lhs, rhs)
     return evaluations, None
 
 
@@ -375,30 +432,23 @@ def _content_free(diff: Side) -> list:
 def certify(ast: IdentityAst) -> Certificate:
     """Prove or refute an identity for all integers r, s and all seeds."""
     diff = ast.diff()
-    _check_supported(diff)
-    profile = degree_profile(ast)
-    windows = {
-        v: sum(window_bound(d) for d in sorted(profile.degrees[v])) for v in VARS
-    }
-    cert_meta = dict(
-        degrees={v: tuple(sorted(profile.degrees[v])) for v in VARS},
-        windows=windows,
-        seed_degree=profile.w_degree,
-    )
+    var_degrees, w_degree, unsupported = side_profile(diff)
+    if unsupported == ():
+        raise UnsupportedTerm("bare constant term is outside certify's scope")
+    if unsupported is not None:
+        sym, _, off = unsupported
+        raise UnsupportedTerm(f"absolute-index factor {sym}({off}) is outside certify's scope")
+    r, s = (tuple(sorted(var_degrees[v])) or (0,) for v in VARS)
+    degrees = {"r": r, "s": s}
+    windows = {"r": sum(map(window_bound, r)), "s": sum(map(window_bound, s))}
     if not diff or not _probe(diff) and not _normal_form(_content_free(diff)):
-        return Certificate(verdict="verified", evaluations=0, method="normal_form", **cert_meta)
-    cube = range(profile.w_degree + 1)
+        return Certificate("verified", degrees, windows, w_degree, 0, "normal_form")
+    cube = range(w_degree + 1)
     seeds = ((a, b, c) for a in cube for b in cube for c in cube)
     evaluations, counterexample = _grid(ast, diff, windows, seeds)
     if counterexample is None:
         raise RuntimeError("the grid found no counterexample to a false identity")
-    return Certificate(
-        verdict="refuted",
-        evaluations=evaluations,
-        method="grid",
-        counterexample=counterexample,
-        **cert_meta,
-    )
+    return Certificate("refuted", degrees, windows, w_degree, evaluations, "grid", counterexample)
 
 
 def single_coefficient_mutants(ast: IdentityAst):

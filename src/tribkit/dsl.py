@@ -139,20 +139,50 @@ class DegreeProfile(NamedTuple):
     w_degree: int
 
 
-def _monomial_degree(mono: Monomial, var: str) -> int:
-    return sum(e for (sym, vs, off), e in mono if var in vs)
+def side_profile(side: Side) -> tuple[dict[str, set[int]], int, tuple | None]:
+    """One pass over ``side``: the degree sets in r and s, the W-degree,
+    and the first term that ``certify`` does not take, or None.
+
+    A monomial's degree in a variable is the sum of the exponents of the
+    factors whose index contains the variable; its W-degree is that of its W
+    factors.  The first term certify does not take is the empty monomial
+    ``()`` of a bare constant or an absolute-index factor (sym, (), offset),
+    in the order the pass meets them.  An empty side gives empty sets.
+    """
+    r_degrees: set[int] = set()
+    s_degrees: set[int] = set()
+    w_degree = 0
+    unsupported = None
+    for mono, _ in side:
+        if not mono and unsupported is None:
+            unsupported = mono
+        r = s = w = 0
+        for (sym, vs, off), e in mono:
+            if "r" in vs:
+                r += e
+                if "s" in vs:
+                    s += e
+            elif "s" in vs:
+                s += e
+            elif unsupported is None:
+                unsupported = (sym, vs, off)
+            if sym == "W":
+                w += e
+        r_degrees.add(r)
+        s_degrees.add(s)
+        if w > w_degree:
+            w_degree = w
+    return {"r": r_degrees, "s": s_degrees}, w_degree, unsupported
 
 
 def degree_profile(ast: IdentityAst) -> DegreeProfile:
-    monos = [m for m, _ in ast.monomials()]
-    degrees = {}
-    for v in VARS:
-        degrees[v] = frozenset(_monomial_degree(m, v) for m in monos) or frozenset({0})
-    w_deg = max(
-        (sum(e for (sym, vs, off), e in m if sym == "W") for m in monos),
-        default=0,
+    """The degree sets in r and s of the identity's monomials, {0} when it
+    has none, and its largest W-degree (``side_profile``)."""
+    degrees, w_degree, _ = side_profile(ast.monomials())
+    return DegreeProfile(
+        degrees={v: frozenset(d) or frozenset({0}) for v, d in degrees.items()},
+        w_degree=w_degree,
     )
-    return DegreeProfile(degrees=degrees, w_degree=w_deg)
 
 
 # ---------------------------------------------------------------------------

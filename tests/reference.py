@@ -2,15 +2,20 @@
 
 ``reevaluate`` is built only on ``term``, one call per factor, so it shares
 no code with the certifier's tables; tests compare the library's results
-against it.  ``term_mod`` powers the 3x3 companion matrix modulo a prime,
-so it shares no code with the x^n mod f kernel; it checks terms far beyond
-the reach of ``term``.  ``str_unlimited`` is CPython's own int->str with
-the digit limit lifted for that one call, the reference for ``format_int``.
+against it.  ``degree_profile`` (three passes over an identity) and
+``unsupported_message`` (the scope check) are what ``dsl.side_profile``
+does in one pass.  ``term_mod`` powers the 3x3 companion matrix modulo a
+prime, so it shares no code with the x^n mod f kernel; it checks terms far
+beyond the reach of ``term``.  ``str_unlimited`` is CPython's own int->str
+with the digit limit lifted for that one call, the reference for
+``format_int``.  ``raw_sides`` generates hand-built identity sides.
 """
 
 import contextlib
 import decimal
 import sys
+
+from hypothesis import strategies as st
 
 from tribkit import TRIBONACCI, TRIBONACCI_LUCAS, term
 
@@ -27,6 +32,42 @@ def reevaluate(side, seed, r, s):
             value *= term(named[sym], index) ** exponent
         total += value
     return total
+
+
+def degree_profile(ast):
+    """(degree sets in r and s, W-degree) of the identity's monomials: one
+    pass per variable and one for W, {0} for an identity without monomials."""
+    monos = [m for m, _ in ast.monomials()]
+    degrees = {
+        v: frozenset(sum(e for (_, vs, _), e in m if v in vs) for m in monos) or frozenset({0})
+        for v in ("r", "s")
+    }
+    w_degree = max((sum(e for (sym, _, _), e in m if sym == "W") for m in monos), default=0)
+    return degrees, w_degree
+
+
+#: Hand-built identity sides, inside and outside certify's scope: factors
+#: over r, s, r+s or an absolute index, bare constants (the empty
+#: monomial), a factor repeated within a monomial, and empty sides.
+_raw_factor = st.tuples(
+    st.sampled_from("WTK"), st.sampled_from([(), ("r",), ("s",), ("r", "s")]), st.integers(-3, 3)
+)
+_raw_monomial = st.lists(st.tuples(_raw_factor, st.integers(1, 3)), max_size=4).map(tuple)
+raw_sides = st.lists(
+    st.tuples(_raw_monomial, st.integers(-3, 3).filter(bool)), max_size=5
+).map(tuple)
+
+
+def unsupported_message(side):
+    """The message ``certify`` raises ``UnsupportedTerm`` with for the first
+    bare constant or absolute-index factor of ``side``, or None."""
+    for mono, _ in side:
+        if not mono:
+            return "bare constant term is outside certify's scope"
+        for (sym, vs, off), _ in mono:
+            if not vs:
+                return f"absolute-index factor {sym}({off}) is outside certify's scope"
+    return None
 
 
 # [W(t+1), W(t+2), W(t+3)] = M [W(t), W(t+1), W(t+2)], and M^-1 steps back

@@ -1,6 +1,7 @@
 import importlib
 import random
 import tracemalloc
+import types
 from itertools import combinations, product
 from math import prod
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tribkit
 from tribkit import (
+    TRIBONACCI,
+    TRIBONACCI_LUCAS,
     DegenerateOffsets,
     SeedVector,
     UnsupportedTerm,
@@ -37,7 +41,7 @@ from tribkit.certify import (
 from tribkit.dsl import VARS, IdentityAst, identity, poly_mul
 from tribkit.sequences import basis_decomposition
 
-from reference import reevaluate
+from reference import raw_sides, reevaluate, unsupported_message
 
 # ``tribkit.certify`` is the function; the module holds the internals.
 certify_module = importlib.import_module("tribkit.certify")
@@ -105,6 +109,48 @@ def test_unsupported_terms():
         certify(parse("T(0) = 0"))
     with pytest.raises(UnsupportedTerm):
         certify(parse("W(r) = W(r-1) + 1"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lhs=raw_sides, rhs=raw_sides)
+def test_unsupported_terms_raise_the_reference_messages(lhs, rhs):
+    # the first bare constant or absolute-index factor of lhs - rhs names
+    # the error, as the scope check did before the one degree pass
+    ast = IdentityAst(lhs, rhs)
+    message = unsupported_message(ast.diff())
+    assume(message is not None)
+    with pytest.raises(UnsupportedTerm) as raised:
+        certify(ast)
+    assert str(raised.value) == message
+
+
+def test_certify_attribute_is_the_function_not_the_module():
+    # the package re-exports the function under its submodule's name
+    import tribkit.certify as bound
+
+    assert bound is tribkit.certify is certify
+    assert not isinstance(bound, types.ModuleType)
+    assert isinstance(certify_module, types.ModuleType)
+    assert certify_module.certify is certify
+
+
+def test_fixed_tables_hold_only_small_indices():
+    # The probe of the first reads W at 2 * 10^5 + 7, far past the tables;
+    # the second's probe reads T(69), its normal form T(64); the third's
+    # grid reads T(64) before its counterexample at r = 2.
+    k = 200_000
+    texts = [
+        f"W(r+{k}) = W(r+{k - 1}) + W(r+{k - 2}) + W(r+{k - 3})",
+        "T(r+62) = T(r+61) + T(r+60) + T(r+59)",
+        "T(r+62)*W(r) = 0",
+    ]
+    certs = [certify(parse(text)) for text in texts]
+    assert [c.method for c in certs] == ["normal_form", "normal_form", "grid"]
+    assert certs[2].counterexample == Counterexample((0, 0, 1), 2, 0, term(TRIBONACCI, 64), 0)
+    tables = certify_module._SMALL_TERMS
+    assert set(tables) == {TRIBONACCI, TRIBONACCI_LUCAS, (2, -3, 5), (0, 0, 1)}
+    assert tables == {seed: {n: term(seed, n) for n in range(-63, 64)} for seed in tables}
+    assert 64 not in certify_module._Terms(TRIBONACCI)
 
 
 def test_certificate_serializes():

@@ -12,7 +12,9 @@ from tribkit import (
     template_to_ast,
 )
 from tribkit import dsl
-from tribkit.dsl import MAX_DEPTH, MAX_PRODUCTS, SYMBOLS, identity
+from tribkit.dsl import MAX_DEPTH, MAX_PRODUCTS, SYMBOLS, IdentityAst, identity
+
+import reference
 
 
 def test_parse_three_term_recurrence():
@@ -317,6 +319,14 @@ def test_degree_profile_cubic():
     p = degree_profile(parse(text))
     assert p.degrees["r"] == {3}
     assert p.w_degree == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(lhs=reference.raw_sides, rhs=reference.raw_sides)
+def test_degree_profile_matches_the_three_pass_reference(lhs, rhs):
+    ast = IdentityAst(lhs, rhs)
+    profile = degree_profile(ast)
+    assert (profile.degrees, profile.w_degree) == reference.degree_profile(ast)
 
 
 def test_render_is_deterministic_and_reparses():
