@@ -412,21 +412,21 @@ def _content_free(diff: Side) -> list:
     The common factor takes each factor at its least exponent over all
     monomials; dividing by one monomial keeps distinct monomials distinct.
     """
-    common = dict(diff[0][0])
-    for mono, _ in diff[1:]:
-        exps = dict(mono)
-        common = {f: min(e, exps[f]) for f, e in common.items() if f in exps}
+    exps = []
+    for mono, _ in diff:
+        exp = {}
+        for f, k in mono:  # a factor given twice has both exponents
+            exp[f] = exp.get(f, 0) + k
+        exps.append(exp)
+    common = exps[0]
+    for exp in exps[1:]:
+        common = {f: min(k, exp[f]) for f, k in common.items() if f in exp}
         if not common:
             return list(diff)
-    out = []
-    for mono, coeff in diff:
-        quotient = []
-        for f, e in mono:
-            e -= common.get(f, 0)
-            if e:
-                quotient.append((f, e))
-        out.append((tuple(quotient), coeff))
-    return out
+    return [
+        (tuple((f, k - common.get(f, 0)) for f, k in exp.items() if k > common.get(f, 0)), coeff)
+        for exp, (_, coeff) in zip(exps, diff)
+    ]
 
 
 def certify(ast: IdentityAst) -> Certificate:

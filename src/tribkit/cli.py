@@ -7,7 +7,7 @@ import functools
 import json
 import sys
 
-from . import dsl, fasteval
+from . import derive, dsl, fasteval
 from .certify import UnsupportedTerm, certify
 from .corpus import load_corpus
 from .derive import (
@@ -18,7 +18,7 @@ from .derive import (
     template_to_ast,
 )
 from .numtext import format_int
-from .sequences import NAMED, TRIBONACCI, SeedVector, term_range
+from .sequences import NAMED, SeedVector, term_range
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -28,16 +28,14 @@ EXIT_MISMATCH = 4
 
 SCHEMA_VERSION = 4
 
-#: The most output bits a command computes, bounded before any arithmetic:
-#: ``eval``'s terms summed over a range (``fasteval.term_bits``), ``bench``'s
-#: values over its indices and ``derive``'s coefficients.  W(10^7) has about
-#: 8.8 million bits.
+#: The most output bits of ``eval``, ``bench``'s values or ``derive``, as priced
+#: by the module doing the work; W(10^7) has about 8.8 million.  The parser's
+#: limit, ``dsl.MAX_PRODUCTS``, stays in ``dsl``: the parser finds its cost only
+#: while it descends, so it cannot be priced up front.
 MAX_EVAL_BITS = 1 << 24
 
-#: The most bits of the terms ``bench``'s ``iterate`` strategy steps through,
-#: ``fasteval.term_bits(TRIBONACCI, min(n, 0), max(n, 0))`` summed over its
-#: indices.  n = 10^5 costs 4.4e9 of them (0.33 s); n = 10^6 would cost
-#: 4.4e11 (about 25 s).
+#: The most bits of the terms ``bench``'s ``iterate`` strategy steps through.
+#: n = 10^5 costs 4.4e9 of them (0.33 s); n = 10^6 would cost 4.4e11 (about 25 s).
 MAX_ITERATE_BITS = 1 << 34
 
 #: The one place exit codes 2-4 are decided: each exception a command may
@@ -189,12 +187,7 @@ def _cmd_derive(args) -> int:
     offsets = _parse_ints(args.offsets, "--offsets")
     if len(offsets) != 3 or len(set(offsets)) != 3:
         raise ValueError("--offsets needs three pairwise distinct integers")
-    # det M and each of the nine coefficients is a sum of at most six products
-    # of three terms at indices of size at most t (``derive`` module
-    # docstring: anchors at o_i - o_j, coordinates at -o_j + 1 or + 2), so
-    # the ten have at most 10 * (3 * term_bits + 3) bits.
-    t = 2 * max(map(abs, offsets)) + 2
-    bits = 30 * (fasteval.term_bits(NAMED[args.basis], t, t) + 1)
+    bits = derive.output_bits(args.basis, offsets)
     _within_budget("derive output", bits, "MAX_EVAL_BITS", MAX_EVAL_BITS)
     fn = (
         derive_tribonacci_basis
@@ -282,10 +275,9 @@ def _cmd_corpus(args) -> int:
 def _cmd_bench(args) -> int:
     ns = _parse_ints(args.n, "--n")
     strategies = tuple(s for s in args.strategies.split(",") if s)
-    values = sum(fasteval.term_bits(TRIBONACCI, n, n) for n in ns)
+    values, steps = fasteval.bench_bits(ns)
     _within_budget("bench values", values, "MAX_EVAL_BITS", MAX_EVAL_BITS)
     if "iterate" in strategies:
-        steps = sum(fasteval.term_bits(TRIBONACCI, min(n, 0), max(n, 0)) for n in ns)
         _within_budget("bench iterate work", steps, "MAX_ITERATE_BITS", MAX_ITERATE_BITS)
     rows = fasteval.bench(ns, strategies)
     print("n,strategy,nanoseconds,digits")

@@ -13,6 +13,13 @@ recurrence, is fixed by three consecutive values.  The integer table over
 det M is then reduced by g = gcd(det M, all entries), signed so that the
 denominator |det M| / g is positive.  det M = 0 raises DegenerateOffsets.
 
+Price.  The anchors B(o_i - o_j) and the coordinates, entries of
+``basis_decomposition(-o_j - j0)`` (terms of solutions with unit-vector
+seeds), lie at indices of size at most t = 2 max|o| + 2, so each has at most
+b = ``term_bits``(B's seed, t, t) bits.  det M and every table entry is a
+sum of six products of three of them, of at most 3b + 3 bits, and g only
+shrinks them: ``output_bits`` = 30 (b + 1) bounds all ten.
+
 Since B(a + b) = sum_jk Z_a,j Z_b,k B(j + k) with Z_n =
 ``basis_decomposition(n)``, M factors as C·H·Dᵀ: C has rows Z(o_i), D has
 rows Z(-o_i), and H = [B(j + k)] is the basis's Hankel matrix, with
@@ -33,7 +40,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import dsl
-from .fasteval import matrix_power_term
+from .fasteval import matrix_power_term, term_bits
 from .sequences import NAMED, basis_decomposition
 
 #: Index of the first canonical basis element relative to s, per basis.
@@ -98,6 +105,12 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
         coeffs=tuple(tuple(c // g for c in row) for row in table),
         denominator=det // g,
     )
+
+
+def output_bits(basis: str, offsets) -> int:
+    """A bound on the bits of ``_derive``'s output, from the offsets alone (module docstring)."""
+    t = 2 * max(map(abs, offsets)) + 2
+    return 30 * (term_bits(NAMED[basis], t, t) + 1)
 
 
 def derive_tribonacci_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:

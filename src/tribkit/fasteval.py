@@ -56,6 +56,13 @@ count.
 ``basis_decomposition(n)``, the full square-and-shift to n; it never runs
 the finish.  The ``double`` and ``matrix`` strategies of ``bench`` share the
 kernel, so ``iterate`` (the linear recurrence) is the independent check.
+
+Prices.  ``bench_bits`` bounds bench's values by ``term_bits`` at each n and
+the terms ``iterate`` (``sequences.term``) passes by term_bits(T, min(n, 0),
+max(n, 0)).  For n < 0 they are W(n..2): W(1) and W(2) have a bit each, and
+W(0) = 0, priced at 4, has none.  For n >= 0 they are W(0..n+2):
+T(k) <= 1.8393^(k-1) for k >= 1 leaves over 3.8 of each index's priced bits
+unused, together more than the at most 1.76 n + 2.9 bits of W(n+1), W(n+2).
 """
 
 from __future__ import annotations
@@ -119,7 +126,7 @@ def fast_term(seed: SeedVector, n: int) -> int:
 
 
 class OverBudget(Exception):
-    """An output whose ``term_bits`` estimate is past a caller's budget."""
+    """Work priced past a limit from the arguments alone, before any arithmetic."""
 
 
 def term_bits(seed: SeedVector, lo: int, hi: int) -> int:
@@ -135,6 +142,12 @@ def term_bits(seed: SeedVector, lo: int, hi: int) -> int:
         return 0
     steps = 88 * _index_sum(lo, hi) + 44 * _index_sum(-hi, -lo)
     return -(-steps // 100) + (hi - lo + 1) * (max(map(abs, seed)).bit_length() + 3)
+
+
+def bench_bits(ns: list[int]) -> tuple[int, int]:
+    """Bounds on the bits of ``bench``'s values and of ``iterate``'s terms (module docstring)."""
+    values = sum(term_bits(TRIBONACCI, n, n) for n in ns)
+    return values, sum(term_bits(TRIBONACCI, min(n, 0), max(n, 0)) for n in ns)
 
 
 def _index_sum(a: int, b: int) -> int:

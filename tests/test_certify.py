@@ -436,6 +436,17 @@ def test_hand_built_ast_may_share_monomials_between_sides():
     assert (cert.verdict, cert.method) == ("verified", "normal_form")
 
 
+def test_hand_built_monomial_may_repeat_a_factor():
+    # W(r)*W(r) = W(r)^2: the common factor W(r)^2 takes both exponents of
+    # the repeated factor, so the quotient is 1 - 1 = 0
+    ((f, _),), _ = parse("W(r) = 0").lhs[0]
+    product, square = ((f, 1), (f, 1)), ((f, 2),)
+    cert = certify(IdentityAst(((product, 1),), ((square, 1),)))
+    assert (cert.verdict, cert.method) == ("verified", "normal_form")
+    false = certify(IdentityAst(((product, 1),), ((square, 2),)))
+    assert false.verdict == "refuted"
+
+
 # True identities that need the norm relation N(x^v) = 1.
 NORM_RELATION = [
     HANKEL_T,

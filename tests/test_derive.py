@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tribkit import (
     TRIBONACCI,
@@ -18,7 +20,7 @@ from tribkit import (
     template_to_ast,
     term,
 )
-from tribkit.derive import CANONICAL_BASE
+from tribkit.derive import CANONICAL_BASE, output_bits
 from tribkit.dsl import identity
 
 from reference import reevaluate
@@ -289,3 +291,18 @@ def test_derive_swap_certify_round_trip():
             except DegenerateOffsets:
                 continue
             assert certify(swap_roles(t)).verdict == "verified", offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from("TK"),
+    st.lists(st.integers(-3000, 3000), min_size=3, max_size=3, unique=True),
+)
+def test_output_bits_bound_the_derived_formula(basis, offsets):
+    fn = derive_tribonacci_basis if basis == "T" else derive_lucas_basis
+    try:
+        t = fn(*offsets)
+    except DegenerateOffsets:
+        assume(False)
+    spent = t.denominator.bit_length() + sum(abs(c).bit_length() for row in t.coeffs for c in row)
+    assert spent <= output_bits(basis, offsets)

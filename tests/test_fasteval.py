@@ -18,6 +18,7 @@ from tribkit import (
     fast_term,
     matrix_power_term,
     term,
+    term_range,
 )
 import tribkit
 from tribkit import fasteval, sequences
@@ -221,6 +222,15 @@ def test_term_bits_bounds_the_bit_lengths(seed):
     assert term_bits(seed, 5, 4) == 0
     # every term counts, zeros too: each prints at least one digit
     assert term_bits(SeedVector(0, 0, 0), -(10**8), 10**8) > 2 * 10**8
+
+
+@given(st.lists(st.integers(-3000, 3000), min_size=1, max_size=4))
+def test_bench_bits_bound_the_values_and_the_terms_iterate_passes(ns):
+    # sequences.term(T, n) passes W(0..n+2) for n >= 0 and W(n..2) for n < 0
+    values, steps = fasteval.bench_bits(ns)
+    assert sum(abs(term(TRIBONACCI, n)).bit_length() for n in ns) <= values
+    passed = [term_range(TRIBONACCI, min(n, 0), max(n, 0) + 2) for n in ns]
+    assert sum(v.bit_length() for terms in passed for v in terms) <= steps
 
 
 def test_digit_count_growth():
