@@ -9,13 +9,14 @@ refutation and its counterexample are exactly the ones the full grid finds.
    as a residue modulo the prime 2^61 - 1, so a large exponent costs a
    modular power, not a huge integer.  It reads its terms through the
    grid's lookups and evaluator (step 3); at |n| < 64 its T, K and W
-   terms come from the fixed tables described there, which hold the exact
-   values a lookup computes, so the residue does not change.  A nonzero
-   residue means a nonzero value, which proves the identity false (one
-   nonzero evaluation suffices; Schwartz, J. ACM 27(4), 1980), and the
-   grid of step 3 then finds the canonical counterexample.  A zero residue
-   proves nothing, and step 2 runs.  The probe never verifies: it only
-   orders the work, and true identities never reach the grid.
+   terms come from the small-index table ``fasteval._SMALL_TERMS``
+   described there, which holds the exact values a lookup computes, so the
+   residue does not change.  A nonzero residue means a nonzero value,
+   which proves the identity false (one nonzero evaluation suffices;
+   Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then finds the
+   canonical counterexample.  A zero residue proves nothing, and step 2
+   runs.  The probe never verifies: it only orders the work, and true
+   identities never reach the grid.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -124,12 +125,13 @@ refutation and its counterexample are exactly the ones the full grid finds.
    shares) or of its seed point (W), so a refutation costs only the terms
    its points read, however long the window.  The lookups of T, K, the
    probe's seed and the first nonzero seed point (0, 0, 1), where almost
-   every refutation ends, start as copies of fixed tables for |n| < 64
-   (``_SMALL_TERMS``).  These are built at import from the table that
-   ``basis_decomposition`` itself reads at those indices, as the dot
-   product ``matrix_power_term`` computes, so they hold the very values a
-   lookup would compute: no value, verdict or count changes, and nothing
-   a call computes outlives it.
+   every refutation ends, start as copies of the small-index table for
+   |n| < 64, ``fasteval._SMALL_TERMS``, which the normal form (step 2) and
+   ``derive`` read too.  It is built at import, next to
+   ``matrix_power_term``, from the table that ``basis_decomposition``
+   itself reads at those indices, as the dot product ``matrix_power_term``
+   computes, so it holds the very values a lookup would compute: no value,
+   verdict or count changes, and nothing a call computes outlives it.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -142,21 +144,14 @@ from math import comb
 from typing import NamedTuple
 
 from .dsl import VARS, IdentityAst, Side, side_profile
-from .fasteval import matrix_power_term
-from .sequences import _SMALL_POWERS, NAMED, SeedVector, basis_decomposition
+from .fasteval import _SMALL_TERMS, matrix_power_term
+from .sequences import NAMED, SeedVector, basis_decomposition
 
-#: The probe point of step 1, and the prime its value is reduced by.
+#: The probe point of step 1, and the prime its value is reduced by.  The
+#: seed's small-index terms are in ``fasteval._SMALL_TERMS``.
 _PROBE_SEED = SeedVector(2, -3, 5)
 _PROBE_AT = {"r": 7, "s": 11}
 _PROBE_MOD = 2**61 - 1
-
-#: Exact terms at |n| < 64 of T, K, the probe's seed and the grid's first
-#: nonzero seed point, read at import from the table ``basis_decomposition``
-#: keeps for those indices (module docstring, steps 1 and 3).
-_SMALL_TERMS = {
-    seed: {n: matrix_power_term(seed, n) for n in _SMALL_POWERS}
-    for seed in (*NAMED.values(), _PROBE_SEED, SeedVector(0, 0, 1))
-}
 
 #: The norm N(c0 + c1 x + c2 x^2) by exponents of (c0, c1, c2) (step 2).
 _NORM = {
@@ -216,9 +211,9 @@ def window_bound(d: int) -> int:
 
 
 class _Terms(dict):
-    """Values of one sequence by index: a copy of the seed's ``_SMALL_TERMS``
-    table if it has one, any other index computed on first use
-    (``matrix_power_term``)."""
+    """Values of one sequence by index: a copy of the seed's
+    ``fasteval._SMALL_TERMS`` table if it has one, any other index computed
+    on first use (``matrix_power_term``)."""
 
     __slots__ = ("seed",)
 
@@ -242,7 +237,8 @@ def _evaluate(
     side: Side, terms: dict[str, _Terms], r: int, s: int, mod: int | None = None
 ) -> int:
     """The side's value at (r, s), its terms read from ``terms``; reduced
-    modulo ``mod`` when one is given."""
+    modulo ``mod`` when one is given.  A monomial stops at its first zero
+    factor: its later factors are neither looked up nor powered."""
     total = 0
     for mono, coeff in side:
         for (sym, vs, off), e in mono:
@@ -250,8 +246,12 @@ def _evaluate(
                 off += r
             if "s" in vs:
                 off += s
-            coeff *= pow(terms[sym][off], e, mod)
-        total += coeff
+            value = terms[sym][off]
+            if not value and e:
+                break
+            coeff *= pow(value, e, mod)
+        else:
+            total += coeff
     return total if mod is None else total % mod
 
 

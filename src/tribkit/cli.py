@@ -87,15 +87,19 @@ def _json(obj) -> str:
     """``json.dumps(obj)``, except that every int goes through
     ``format_int``: one past the int->str digit limit is written as its
     digit run, still a JSON number, where ``json.dumps`` refuses it.
+    Dispatch is on the exact type, int first: the reports are mostly ints,
+    so a list formats its int items in place, and anything else (a bool,
+    None) goes to ``json.dumps``.
     """
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{_json_str(k)}: {_json(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, list):
-        return "[" + ", ".join(map(_json, obj)) + "]"
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if type(obj) is int:
+    kind = type(obj)
+    if kind is int:
         return format_int(obj)
+    if kind is list:
+        return "[" + ", ".join([format_int(v) if type(v) is int else _json(v) for v in obj]) + "]"
+    if kind is dict:
+        return "{" + ", ".join(f"{_json_str(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+    if kind is str:
+        return _json_str(obj)
     return json.dumps(obj)
 
 

@@ -5,8 +5,13 @@ terms, each multiplied by an integer combination of shifted Tribonacci (T)
 or Tribonacci-Lucas (K) values.  Specializing s to three values that
 collapse the unknown coefficients gives a 3x3 integer anchor system M,
 whose entries B(n) are dot products of ``sequences.basis_decomposition(n)``
-with the basis seed.  M is inverted through its integer cofactors and
-det M, and all basis shifts are rewritten into a fixed canonical basis:
+with the basis seed: M[i][j] = B(o_i - o_j), so its diagonal is B(0) and
+six off-diagonal entries remain.  An entry with |n| < 64, every entry of a
+triple in [-12, 12], is read from the small-index table
+``fasteval._SMALL_TERMS``, which holds those dot products; any other is
+``fasteval.matrix_power_term(B's seed, n)``.  M is inverted through its
+integer cofactors, the adjugate written out entry by entry, and det M,
+and all basis shifts are rewritten into a fixed canonical basis:
 the coordinates of B(s+k) over B(s+j0), B(s+j0+1), B(s+j0+2) are
 ``basis_decomposition(k - j0)``, since B, like every sequence obeying the
 recurrence, is fixed by three consecutive values.  The integer table over
@@ -32,6 +37,15 @@ recurrence; the refusals with det C != 0 = det D are spurious.  Of the
 
 Canonical coefficient bases: {T(s-1), T(s), T(s+1)} for the T basis and
 {K(s-2), K(s-1), K(s)} for the K basis.
+
+ASTs.  ``template_to_ast`` and ``swap_roles`` build a template's identity
+directly in the canonical form ``dsl.identity`` would give.  The lhs is
+den * W(r+s), and den > 0.  Each of the nine (offset, basis shift) pairs
+is its own rhs monomial of one basis factor and one W factor, so no two
+merge and none is W(r+s).  T and K sort before W, so each monomial is
+(basis factor, W factor), and with both factor lists ascending (offsets
+sorted, shifts j0..j0+2) the rhs is sorted as it is built; only zero
+coefficients are dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import dsl
-from .fasteval import matrix_power_term, term_bits
+from .fasteval import _SMALL_TERMS, matrix_power_term, term_bits
 from .sequences import NAMED, basis_decomposition
 
 #: Index of the first canonical basis element relative to s, per basis.
@@ -68,41 +82,42 @@ class FormulaTemplate(NamedTuple):
 def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
     if len(set(offsets)) != 3:
         raise ValueError(f"offsets must be pairwise distinct, got {offsets}")
-    offsets = tuple(sorted(offsets))
+    o0, o1, o2 = offsets = tuple(sorted(offsets))
     seed = NAMED[basis]
     base = CANONICAL_BASE[basis]
+    small = _SMALL_TERMS[seed]
     # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j])
-    # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j.  It is
-    # inverted by cofactors, so det M != 0 is all it needs (module docstring).
-    m = [[matrix_power_term(seed, oi - oj) for oj in offsets] for oi in offsets]
-    # cof[i][j] is the cofactor of M[i][j], so (M^-1)[j][i] = cof[i][j] / det.
-    cof = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
+    # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j, with
+    # M[i][j] = mij = B(o_i - o_j) and B(0) = z on the diagonal.
+    z = small[0]
+    m01, m02, m10, m12, m20, m21 = [
+        small[n] if -64 < n < 64 else matrix_power_term(seed, n)
+        for n in (o0 - o1, o0 - o2, o1 - o0, o1 - o2, o2 - o0, o2 - o1)
     ]
-    det = sum(m[0][j] * cof[0][j] for j in range(3))
+    # cij is the cofactor of M[i][j], so (M^-1)[j][i] = cij / det.  M is
+    # inverted by them, so det M != 0 is all it needs (module docstring).
+    c00, c01, c02 = z * z - m12 * m21, m12 * m20 - m10 * z, m10 * m21 - z * m20
+    c10, c11, c12 = m21 * m02 - m01 * z, z * z - m20 * m02, m20 * m01 - m21 * z
+    c20, c21, c22 = m01 * m12 - m02 * z, m02 * m10 - z * m12, z * z - m01 * m10
+    det = z * c00 + m01 * c01 + m02 * c02
     if det == 0:
         raise DegenerateOffsets(
             f"{basis}-basis anchor system is singular for offsets {offsets}"
         )
-    # Coefficient of W(r+offsets[i]) is sum_j cof[i][j] * B(s - offsets[j])
-    # over det.  Rewrite anchors into the canonical basis.
-    coords = [basis_decomposition(-oj - base) for oj in offsets]
+    # Coefficient of W(r+offsets[i]) is sum_j cij * B(s - offsets[j]) over
+    # det.  Rewrite anchors into the canonical basis.
+    (x0, x1, x2), (y0, y1, y2), (w0, w1, w2) = [basis_decomposition(-o - base) for o in offsets]
     table = [
-        [sum(cof[i][j] * coords[j][col] for j in range(3)) for col in range(3)]
-        for i in range(3)
+        (p * x0 + q * y0 + r * w0, p * x1 + q * y1 + r * w1, p * x2 + q * y2 + r * w2)
+        for p, q, r in ((c00, c01, c02), (c10, c11, c12), (c20, c21, c22))
     ]
-    g = gcd(det, *[c for row in table for c in row])
+    g = gcd(det, *table[0], *table[1], *table[2])
     if det < 0:
         g = -g
     return FormulaTemplate(
         basis=basis,
         offsets=offsets,
-        coeffs=tuple(tuple(c // g for c in row) for row in table),
+        coeffs=tuple((p // g, q // g, r // g) for p, q, r in table),
         denominator=det // g,
     )
 
@@ -123,21 +138,29 @@ def derive_lucas_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:
     return _derive("K", (o1, o2, o3))
 
 
-def _formula_ast(t: FormulaTemplate, on_s: str, on_r: str) -> dsl.IdentityAst:
-    """The template's den * W(r+s) = sum of c * on_s(s+j0+j) * on_r(r+o).
-    Each (o, j) gives its own monomial: ``dsl.identity`` only drops zeros."""
-    base = CANONICAL_BASE[t.basis]
-    rhs = {
-        tuple(sorted([((on_s, ("s",), base + j), 1), ((on_r, ("r",), off), 1)])): c
-        for off, row in zip(t.offsets, t.coeffs)
-        for j, c in enumerate(row)
-    }
-    return dsl.identity({((("W", ("r", "s"), 0), 1),): t.denominator}, rhs)
+def _formula_ast(den: int, basis_factors, w_factors, table) -> dsl.IdentityAst:
+    """den * W(r+s) = sum of table[i][j] * basis_factors[i] * w_factors[j],
+    built in canonical order (module docstring, ASTs): both factor lists
+    ascend, and only zero coefficients are dropped."""
+    rhs = tuple([
+        ((bf, wf), coeff)
+        for bf, row in zip(basis_factors, table)
+        for wf, coeff in zip(w_factors, row)
+        if coeff
+    ])
+    w_rs = ((("W", ("r", "s"), 0), 1),)
+    return dsl.IdentityAst(((w_rs, den),), rhs)
 
 
 def template_to_ast(t: FormulaTemplate) -> dsl.IdentityAst:
     """The template's identity as a DSL AST."""
-    return _formula_ast(t, t.basis, "W")
+    base = CANONICAL_BASE[t.basis]
+    return _formula_ast(
+        t.denominator,
+        [((t.basis, ("s",), base + j), 1) for j in range(3)],
+        [(("W", ("r",), off), 1) for off in t.offsets],
+        zip(*t.coeffs),
+    )
 
 
 def swap_roles(t: FormulaTemplate) -> dsl.IdentityAst:
@@ -147,4 +170,10 @@ def swap_roles(t: FormulaTemplate) -> dsl.IdentityAst:
     Emitted as an AST to be validated by the certifier, not assumed correct
     by construction.
     """
-    return _formula_ast(t, "W", t.basis)
+    base = CANONICAL_BASE[t.basis]
+    return _formula_ast(
+        t.denominator,
+        [((t.basis, ("r",), off), 1) for off in t.offsets],
+        [(("W", ("s",), base + j), 1) for j in range(3)],
+        t.coeffs,
+    )

@@ -398,34 +398,45 @@ def _render_index(vs: tuple[str, ...], offset: int) -> str:
     return base
 
 
-def _render_monomial(mono: Monomial) -> str:
+def _render_monomial(mono: Monomial, texts: dict) -> str:
+    """The monomial's factors joined by "*", each (factor, exponent) taken
+    from ``texts`` or rendered into it on first use."""
     parts = []
-    for (sym, vs, off), e in mono:
-        p = f"{sym}({_render_index(vs, off)})"
-        parts.append(p if e == 1 else f"{p}^{e}")
+    for fe in mono:
+        text = texts.get(fe)
+        if text is None:
+            (sym, vs, off), e = fe
+            text = f"{sym}({_render_index(vs, off)})"
+            if e != 1:
+                text = f"{text}^{e}"
+            texts[fe] = text
+        parts.append(text)
     return "*".join(parts)
 
 
-def _render_side(side: Side) -> str:
+def _render_side(side: Side, texts: dict) -> str:
     if not side:
         return "0"
     pieces = []
-    for i, (mono, coeff) in enumerate(side):
+    for mono, coeff in side:
         mag = abs(coeff)
-        body = _render_monomial(mono)
+        body = _render_monomial(mono, texts)
         if not mono:
             text = format_int(mag)
         elif mag == 1:
             text = body
         else:
             text = f"{format_int(mag)}*{body}"
-        if i == 0:
-            pieces.append(text if coeff > 0 else f"-{text}")
+        if pieces:
+            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
         else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {text}")
+            pieces.append(text if coeff > 0 else f"-{text}")
     return " ".join(pieces)
 
 
 def render(ast: IdentityAst) -> str:
-    """Deterministic canonical text; parse(render(x)) equals x."""
-    return f"{_render_side(ast.lhs)} = {_render_side(ast.rhs)}"
+    """Deterministic canonical text; parse(render(x)) equals x.  A factor
+    that recurs, as in a derived formula's nine products of six factors, is
+    rendered once."""
+    texts: dict = {}
+    return f"{_render_side(ast.lhs, texts)} = {_render_side(ast.rhs, texts)}"

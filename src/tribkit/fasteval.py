@@ -71,7 +71,8 @@ import math
 import time
 from typing import NamedTuple
 
-from .sequences import TRIBONACCI, SeedVector, _squares, basis_decomposition, square_and_shift, term
+from .sequences import _SMALL_POWERS, NAMED, TRIBONACCI, SeedVector, _squares, basis_decomposition
+from .sequences import square_and_shift, term
 
 _mul_count = 0
 
@@ -163,6 +164,17 @@ def matrix_power_term(seed: SeedVector, n: int) -> int:
     """
     c0, c1, c2 = basis_decomposition(n)
     return c0 * seed.w0 + c1 * seed.w1 + c2 * seed.w2
+
+
+#: Exact terms at |n| < 64 of T, K, certify's probe seed (2, -3, 5) and the
+#: grid's first nonzero seed point (0, 0, 1), built at import as the dot
+#: product ``matrix_power_term`` computes from the table ``basis_decomposition``
+#: keeps for those indices, so they are the values it would return.  certify
+#: and derive read terms here before computing any.
+_SMALL_TERMS = {
+    seed: {n: matrix_power_term(seed, n) for n in _SMALL_POWERS}
+    for seed in (*NAMED.values(), SeedVector(2, -3, 5), SeedVector(0, 0, 1))
+}
 
 
 _LOG10_2 = math.log10(2)

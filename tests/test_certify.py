@@ -34,6 +34,7 @@ from tribkit.certify import (
     _content_free,
     _evaluate,
     _grid,
+    _lookups,
     _normal_form,
     _probe,
     _Terms,
@@ -41,7 +42,7 @@ from tribkit.certify import (
 from tribkit.dsl import VARS, IdentityAst, identity, poly_mul
 from tribkit.sequences import basis_decomposition
 
-from reference import raw_sides, reevaluate, unsupported_message
+from reference import raw_sides, raw_sides_with_zero_exponents, reevaluate, unsupported_message
 
 # ``tribkit.certify`` is the function; the module holds the internals.
 certify_module = importlib.import_module("tribkit.certify")
@@ -147,7 +148,7 @@ def test_fixed_tables_hold_only_small_indices():
     certs = [certify(parse(text)) for text in texts]
     assert [c.method for c in certs] == ["normal_form", "normal_form", "grid"]
     assert certs[2].counterexample == Counterexample((0, 0, 1), 2, 0, term(TRIBONACCI, 64), 0)
-    tables = certify_module._SMALL_TERMS
+    tables = tribkit.fasteval._SMALL_TERMS
     assert set(tables) == {TRIBONACCI, TRIBONACCI_LUCAS, (2, -3, 5), (0, 0, 1)}
     assert tables == {seed: {n: term(seed, n) for n in range(-63, 64)} for seed in tables}
     assert 64 not in certify_module._Terms(TRIBONACCI)
@@ -198,6 +199,22 @@ def test_window_shrink_admits_false_identity():
     assert cert.counterexample.r == 2
     terms = {"T": _Terms(SeedVector(0, 1, 1))}
     assert [_evaluate(ast.diff(), terms, r, 0) for r in (0, 1, 2)] == [0, 0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    side=raw_sides_with_zero_exponents,
+    seed=st.sampled_from([(0, 0, 1), (0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 1), (2, -3, 5)]),
+    r=st.integers(-4, 4),
+    s=st.integers(-4, 4),
+)
+def test_evaluate_stops_only_at_a_zero_factor(side, seed, r, s):
+    # a monomial stops at its first zero factor; a factor of exponent 0
+    # contributes 1 even where its term is 0
+    seed = SeedVector(*seed)
+    expected = reevaluate(side, seed, r, s)
+    assert _evaluate(side, _lookups(seed), r, s) == expected
+    assert _evaluate(side, _lookups(seed), r, s, 2**61 - 1) == expected % (2**61 - 1)
 
 
 def test_tables_span_only_the_factors_indices():

@@ -23,6 +23,7 @@ from tribkit import (
 from tribkit.derive import CANONICAL_BASE, output_bits
 from tribkit.dsl import identity
 
+import reference
 from reference import reevaluate
 
 UNIT_SEEDS = [SeedVector(1, 0, 0), SeedVector(0, 1, 0), SeedVector(0, 0, 1)]
@@ -306,3 +307,26 @@ def test_output_bits_bound_the_derived_formula(basis, offsets):
         assume(False)
     spent = t.denominator.bit_length() + sum(abs(c).bit_length() for row in t.coeffs for c in row)
     assert spent <= output_bits(basis, offsets)
+
+
+@pytest.mark.parametrize("basis", ["T", "K"])
+def test_derive_path_matches_the_generic_reference(basis):
+    # every sorted triple in [-12, 12]: the same template, the same two ASTs
+    # and the same refusals as anchors from matrix_power_term, modular-index
+    # cofactors and ASTs canonicalized by dsl.identity
+    fn = derive_tribonacci_basis if basis == "T" else derive_lucas_basis
+    refused = []
+    for offsets in combinations(range(-12, 13), 3):
+        try:
+            expected = reference.derive(basis, offsets)
+        except DegenerateOffsets as exc:
+            with pytest.raises(DegenerateOffsets) as raised:
+                fn(*offsets)
+            assert str(raised.value) == str(exc)
+            refused.append(offsets)
+            continue
+        t = fn(*offsets)
+        assert t == expected, offsets
+        assert template_to_ast(t) == reference.formula_ast(t, basis, "W"), offsets
+        assert swap_roles(t) == reference.formula_ast(t, "W", basis), offsets
+    assert len(refused) == 92
