@@ -8,15 +8,13 @@ refutation and its counterexample are exactly the ones the full grid finds.
    seed (2, -3, 5), r = 7, s = 11 (the grid's seeds lie in {0..d_W}^3),
    as a residue modulo the prime 2^61 - 1, so a large exponent costs a
    modular power, not a huge integer.  It reads its terms through the
-   grid's lookups and evaluator (step 3); at |n| < 64 its T, K and W
-   terms come from the small-index table ``fasteval._SMALL_TERMS``
-   described there, which holds the exact values a lookup computes, so the
-   residue does not change.  A nonzero residue means a nonzero value,
-   which proves the identity false (one nonzero evaluation suffices;
-   Schwartz, J. ACM 27(4), 1980), and the grid of step 3 then finds the
-   canonical counterexample.  A zero residue proves nothing, and step 2
-   runs.  The probe never verifies: it only orders the work, and true
-   identities never reach the grid.
+   grid's lookups and evaluator (step 3), its W terms at |n| < 64 from
+   ``_SMALL_W``.  A nonzero residue means a nonzero value, which proves
+   the identity false (one
+   nonzero evaluation suffices; Schwartz, J. ACM 27(4), 1980), and the
+   grid of step 3 then finds the canonical counterexample.  A zero residue
+   proves nothing, and step 2 runs.  The probe never verifies: it only
+   orders the work, and true identities never reach the grid.
 
 2. Normal form.  Every sequence U obeying the recurrence satisfies
    U(b+n) = sum_i c_i(n) U(b+i) for all integers b and n, where
@@ -30,11 +28,11 @@ refutation and its counterexample are exactly the ones the full grid finds.
 
    every factor is rewritten as a polynomial: W(b+n) = X . c(n) (b = 0
    when X is the seed), and T and K are their seeds in ``NAMED`` dotted
-   with c(n).  Since x^(v+k) = x^v * x^k, the coordinates are c(k) for a
-   constant index, c(v+k) = sum_j Z_v,j c(k+j) (linear in Z_v), and
-   c(r+s+k) = sum_j Z_r,j c(s+k+j) (bilinear in Z_r and Z_s).  Each
-   rewrite holds for all integers r, s and every seed, so lhs - rhs equals
-   its expansion at the window values everywhere.
+   with c(n) (``matrix_power_term``).  Since x^(v+k) = x^v * x^k, the
+   coordinates are c(k) for a constant index, c(v+k) = sum_j Z_v,j c(k+j)
+   (linear in Z_v), and c(r+s+k) = sum_j Z_r,j c(s+k+j) (bilinear in Z_r
+   and Z_s).  Each rewrite holds for all integers r, s and every seed, so
+   lhs - rhs equals its expansion at the window values everywhere.
 
    The window values are not independent along the orbit: x^v is a unit,
    so its norm from Q(x) = Q[x]/(x^3 - x^2 - x - 1),
@@ -120,18 +118,15 @@ refutation and its counterexample are exactly the ones the full grid finds.
    when every monomial has one, lhs - rhs is zero there, and the grid
    skips it.  ``evaluations`` counts the grid points evaluated, so a
    normal-form verdict reports 0.  No table is built for a call: a point
-   looks its terms up, each computed on first use (``matrix_power_term``)
-   and kept for the rest of the call (T and K, which every seed point
-   shares) or of its seed point (W), so a refutation costs only the terms
-   its points read, however long the window.  The lookups of T, K, the
-   probe's seed and the first nonzero seed point (0, 0, 1), where almost
-   every refutation ends, start as copies of the small-index table for
-   |n| < 64, ``fasteval._SMALL_TERMS``, which the normal form (step 2) and
-   ``derive`` read too.  It is built at import, next to
-   ``matrix_power_term``, from the table that ``basis_decomposition``
-   itself reads at those indices, as the dot product ``matrix_power_term``
-   computes, so it holds the very values a lookup would compute: no value,
-   verdict or count changes, and nothing a call computes outlives it.
+   looks its terms up, each computed on first use (``matrix_power_term``,
+   a table read inside ``basis_decomposition`` at |n| < 64) and kept for
+   the rest of the call (T and K, which every seed point shares) or of its
+   seed point (W), so a refutation costs only the terms its points read,
+   however long the window.  The W lookups of the probe's seed and of the
+   first nonzero seed point (0, 0, 1), where almost every refutation ends,
+   start as copies of ``_SMALL_W``, their terms at |n| < 64, built at
+   import by ``matrix_power_term`` itself: no value, verdict or count
+   changes, and nothing a call computes outlives it.
 
 Constant terms and absolute indices are rejected: the constant sequence
 does not satisfy the recurrence, which would break the dimension argument.
@@ -144,14 +139,21 @@ from math import comb
 from typing import NamedTuple
 
 from .dsl import VARS, IdentityAst, Side, side_profile
-from .fasteval import _SMALL_TERMS, matrix_power_term
-from .sequences import NAMED, SeedVector, basis_decomposition
+from .fasteval import matrix_power_term
+from .sequences import _SMALL_POWERS, NAMED, SeedVector, basis_decomposition
 
-#: The probe point of step 1, and the prime its value is reduced by.  The
-#: seed's small-index terms are in ``fasteval._SMALL_TERMS``.
+#: The probe point of step 1, and the prime its value is reduced by.
 _PROBE_SEED = SeedVector(2, -3, 5)
 _PROBE_AT = {"r": 7, "s": 11}
 _PROBE_MOD = 2**61 - 1
+
+#: Exact W terms of the probe's seed and of the grid's first nonzero seed
+#: point (0, 0, 1) at the indices of ``basis_decomposition``'s table,
+#: |n| < 64, which their lookups start from (step 3).
+_SMALL_W = {
+    seed: {n: matrix_power_term(seed, n) for n in _SMALL_POWERS}
+    for seed in (_PROBE_SEED, SeedVector(0, 0, 1))
+}
 
 #: The norm N(c0 + c1 x + c2 x^2) by exponents of (c0, c1, c2) (step 2).
 _NORM = {
@@ -211,16 +213,14 @@ def window_bound(d: int) -> int:
 
 
 class _Terms(dict):
-    """Values of one sequence by index: a copy of the seed's
-    ``fasteval._SMALL_TERMS`` table if it has one, any other index computed
-    on first use (``matrix_power_term``)."""
+    """Values of one sequence by index: a copy of the seed's ``_SMALL_W``
+    table if it has one, any other index computed on first use
+    (``matrix_power_term``)."""
 
     __slots__ = ("seed",)
 
     def __init__(self, seed: SeedVector):
-        table = _SMALL_TERMS.get(seed)
-        if table:
-            self.update(table)
+        self.update(_SMALL_W.get(seed, ()))
         self.seed = seed
 
     def __missing__(self, n: int) -> int:
@@ -324,12 +324,7 @@ def _normal_form(diff: Side) -> dict[int, int]:
                 key + x: c for key, n in terms for x, c in zip(x_keys, basis_decomposition(n)) if c
             }
         seed = NAMED[sym]
-        small = _SMALL_TERMS[seed]
-        return {
-            key: value
-            for key, n in terms
-            if (value := small[n] if -64 < n < 64 else matrix_power_term(seed, n))
-        }
+        return {key: value for key, n in terms if (value := matrix_power_term(seed, n))}
 
     factors: dict = {}
     total: dict[int, int] = {}

@@ -6,24 +6,31 @@ or Tribonacci-Lucas (K) values.  Specializing s to three values that
 collapse the unknown coefficients gives a 3x3 integer anchor system M,
 whose entries B(n) are dot products of ``sequences.basis_decomposition(n)``
 with the basis seed: M[i][j] = B(o_i - o_j), so its diagonal is B(0) and
-six off-diagonal entries remain.  An entry with |n| < 64, every entry of a
-triple in [-12, 12], is read from the small-index table
-``fasteval._SMALL_TERMS``, which holds those dot products; any other is
-``fasteval.matrix_power_term(B's seed, n)``.  M is inverted through its
-integer cofactors, the adjugate written out entry by entry, and det M,
-and all basis shifts are rewritten into a fixed canonical basis:
-the coordinates of B(s+k) over B(s+j0), B(s+j0+1), B(s+j0+2) are
-``basis_decomposition(k - j0)``, since B, like every sequence obeying the
-recurrence, is fixed by three consecutive values.  The integer table over
+six off-diagonal entries remain, each ``fasteval.matrix_power_term(B's
+seed, n)`` (a table read inside ``basis_decomposition`` at |n| < 64).  M
+is inverted through its integer cofactors, the adjugate written out entry
+by entry, and det M, and all basis shifts are rewritten into a fixed
+canonical basis: the coordinates of B(s+k) over B(s+j0), B(s+j0+1),
+B(s+j0+2) are ``basis_decomposition(k - j0)``, since B, like every
+sequence obeying the recurrence, is fixed by three consecutive values.  The integer table over
 det M is then reduced by g = gcd(det M, all entries), signed so that the
 denominator |det M| / g is positive.  det M = 0 raises DegenerateOffsets.
 
-Price.  The anchors B(o_i - o_j) and the coordinates, entries of
+Price.  Each output number is priced by its own factors' indices.  By
+``term_bits``, B(n) has at most 0.88 n+ + 0.44 n- + e bits (n+ = max(n, 0),
+n- = max(-n, 0)), with e = 4 + the bits of B's largest seed entry (one of
+them for rounding up).  det M sums, over the six permutations p, products
+B(o_0 - o_p(0)) B(o_1 - o_p(1)) B(o_2 - o_p(2)) whose indices sum to 0 and
+have positive part at most S = max o - min o (a 3-cycle's is S, a
+transposition's one difference), so negative part at most S too: each has
+at most P + 3e bits, P = ceil(1.32 S), and det M at most P + 3e + 3.  A
+cofactor sums two such products with B(o_i - o_j) taken out, whose parts
+are still at most S: P + 2e + 1 bits.  The coordinates, entries of
 ``basis_decomposition(-o_j - j0)`` (terms of solutions with unit-vector
-seeds), lie at indices of size at most t = 2 max|o| + 2, so each has at most
-b = ``term_bits``(B's seed, t, t) bits.  det M and every table entry is a
-sum of six products of three of them, of at most 3b + 3 bits, and g only
-shrinks them: ``output_bits`` = 30 (b + 1) bounds all ten.
+seeds), lie at |index| <= max|o| + 2: Q = ceil(0.88 (max|o| + 2)) + 4 bits
+each.  A table entry sums three cofactor-coordinate products, P + 2e + Q + 3
+bits, and g only shrinks them, so ``output_bits`` = P + 3e + 3 +
+9 (P + 2e + Q + 3), about 13.2 S + 7.9 max|o| bits, bounds all ten.
 
 Since B(a + b) = sum_jk Z_a,j Z_b,k B(j + k) with Z_n =
 ``basis_decomposition(n)``, M factors as C·H·Dᵀ: C has rows Z(o_i), D has
@@ -54,7 +61,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import dsl
-from .fasteval import _SMALL_TERMS, matrix_power_term, term_bits
+from .fasteval import matrix_power_term
 from .sequences import NAMED, basis_decomposition
 
 #: Index of the first canonical basis element relative to s, per basis.
@@ -85,13 +92,12 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
     o0, o1, o2 = offsets = tuple(sorted(offsets))
     seed = NAMED[basis]
     base = CANONICAL_BASE[basis]
-    small = _SMALL_TERMS[seed]
     # Anchor system: specializing s in W(r+s) = sum_j f_j B(s - offsets[j])
     # at s = offsets[i] gives W(r+offsets[i]) = sum_j M[i][j] f_j, with
     # M[i][j] = mij = B(o_i - o_j) and B(0) = z on the diagonal.
-    z = small[0]
+    z = seed.w0
     m01, m02, m10, m12, m20, m21 = [
-        small[n] if -64 < n < 64 else matrix_power_term(seed, n)
+        matrix_power_term(seed, n)
         for n in (o0 - o1, o0 - o2, o1 - o0, o1 - o2, o2 - o0, o2 - o1)
     ]
     # cij is the cofactor of M[i][j], so (M^-1)[j][i] = cij / det.  M is
@@ -124,8 +130,10 @@ def _derive(basis: str, offsets: tuple[int, int, int]) -> FormulaTemplate:
 
 def output_bits(basis: str, offsets) -> int:
     """A bound on the bits of ``_derive``'s output, from the offsets alone (module docstring)."""
-    t = 2 * max(map(abs, offsets)) + 2
-    return 30 * (term_bits(NAMED[basis], t, t) + 1)
+    e = max(map(abs, NAMED[basis])).bit_length() + 4
+    p = -(-132 * (max(offsets) - min(offsets)) // 100)
+    q = -(-88 * (max(map(abs, offsets)) + 2) // 100) + 4
+    return p + 3 * e + 3 + 9 * (p + 2 * e + q + 3)
 
 
 def derive_tribonacci_basis(o1: int, o2: int, o3: int) -> FormulaTemplate:

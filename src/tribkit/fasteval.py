@@ -53,9 +53,10 @@ by seed-sized integers are linear in the operand size and not counted;
 count.
 
 ``matrix_power_term`` is the dot product of the seed with
-``basis_decomposition(n)``, the full square-and-shift to n; it never runs
-the finish.  The ``double`` and ``matrix`` strategies of ``bench`` share the
-kernel, so ``iterate`` (the linear recurrence) is the independent check.
+``basis_decomposition(n)`` (a table read at |n| < 64), the one way certify
+and derive compute a term; it never runs the finish.  The ``double`` and
+``matrix`` strategies of ``bench`` share the kernel, so ``iterate`` (the
+linear recurrence) is the independent check.
 
 Prices.  ``bench_bits`` bounds bench's values by ``term_bits`` at each n and
 the terms ``iterate`` (``sequences.term``) passes by term_bits(T, min(n, 0),
@@ -71,8 +72,7 @@ import math
 import time
 from typing import NamedTuple
 
-from .sequences import _SMALL_POWERS, NAMED, TRIBONACCI, SeedVector, _squares, basis_decomposition
-from .sequences import square_and_shift, term
+from .sequences import TRIBONACCI, SeedVector, _squares, basis_decomposition, square_and_shift, term
 
 _mul_count = 0
 
@@ -163,18 +163,8 @@ def matrix_power_term(seed: SeedVector, n: int) -> int:
     Independent of the addition formula.
     """
     c0, c1, c2 = basis_decomposition(n)
-    return c0 * seed.w0 + c1 * seed.w1 + c2 * seed.w2
-
-
-#: Exact terms at |n| < 64 of T, K, certify's probe seed (2, -3, 5) and the
-#: grid's first nonzero seed point (0, 0, 1), built at import as the dot
-#: product ``matrix_power_term`` computes from the table ``basis_decomposition``
-#: keeps for those indices, so they are the values it would return.  certify
-#: and derive read terms here before computing any.
-_SMALL_TERMS = {
-    seed: {n: matrix_power_term(seed, n) for n in _SMALL_POWERS}
-    for seed in (*NAMED.values(), SeedVector(2, -3, 5), SeedVector(0, 0, 1))
-}
+    w0, w1, w2 = seed
+    return c0 * w0 + c1 * w1 + c2 * w2
 
 
 _LOG10_2 = math.log10(2)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import tribkit
 from tribkit import (
     TRIBONACCI,
-    TRIBONACCI_LUCAS,
     DegenerateOffsets,
     SeedVector,
     UnsupportedTerm,
@@ -148,10 +147,10 @@ def test_fixed_tables_hold_only_small_indices():
     certs = [certify(parse(text)) for text in texts]
     assert [c.method for c in certs] == ["normal_form", "normal_form", "grid"]
     assert certs[2].counterexample == Counterexample((0, 0, 1), 2, 0, term(TRIBONACCI, 64), 0)
-    tables = tribkit.fasteval._SMALL_TERMS
-    assert set(tables) == {TRIBONACCI, TRIBONACCI_LUCAS, (2, -3, 5), (0, 0, 1)}
+    tables = certify_module._SMALL_W
+    assert set(tables) == {(2, -3, 5), (0, 0, 1)}
     assert tables == {seed: {n: term(seed, n) for n in range(-63, 64)} for seed in tables}
-    assert 64 not in certify_module._Terms(TRIBONACCI)
+    assert certify_module._Terms(TRIBONACCI) == {}
 
 
 def test_certificate_serializes():

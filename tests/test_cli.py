@@ -499,7 +499,7 @@ CORPUS_FILES = {
          "over budget: bench iterate work of up to 44000044400004 bits is past"
          " MAX_ITERATE_BITS = 17179869184"),
         (["derive", "--basis", "T", "--offsets", "0,1,100000000"], EXIT_UNSUPPORTED,
-         "over budget: derive output of up to 5280000210 bits is past MAX_EVAL_BITS = 16777216"),
+         "over budget: derive output of up to 2112000189 bits is past MAX_EVAL_BITS = 16777216"),
     ],
 )
 def test_failure_table_rows(tmp_path, capsys, monkeypatch, argv, code, err):

@@ -311,12 +311,15 @@ def test_output_bits_bound_the_derived_formula(basis, offsets):
 
 @pytest.mark.parametrize("basis", ["T", "K"])
 def test_derive_path_matches_the_generic_reference(basis):
-    # every sorted triple in [-12, 12]: the same template, the same two ASTs
-    # and the same refusals as anchors from matrix_power_term, modular-index
-    # cofactors and ASTs canonicalized by dsl.identity
+    # every sorted triple in [-12, 12], and triples whose anchors lie past
+    # basis_decomposition's small-index table (|n| >= 64): the same
+    # template, the same two ASTs and the same refusals as anchors from
+    # matrix_power_term, modular-index cofactors and ASTs canonicalized by
+    # dsl.identity
     fn = derive_tribonacci_basis if basis == "T" else derive_lucas_basis
+    wide = [(-70, 0, 70), (-40, 1, 100), (0, 64, 130), (-130, -64, 0), (-100, -1, 40)]
     refused = []
-    for offsets in combinations(range(-12, 13), 3):
+    for offsets in [*combinations(range(-12, 13), 3), *wide]:
         try:
             expected = reference.derive(basis, offsets)
         except DegenerateOffsets as exc:

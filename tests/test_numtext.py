@@ -88,6 +88,25 @@ def test_import_does_not_load_decimal():
     assert out.strip() == "False"
 
 
+def test_small_work_does_not_load_decimal_pickle_or_signal():
+    # each costs milliseconds to import, so only the paths that need it do:
+    # decimal output past 14,000 bits, the squaring worker and its teardown
+    src = Path(tribkit.__file__).resolve().parent.parent
+    code = (
+        "import sys, tribkit, tribkit.cli\n"
+        "for entry in tribkit.load_corpus():\n"
+        "    tribkit.certify(entry.ast())\n"
+        "tribkit.fast_term(tribkit.TRIBONACCI, 1000)\n"
+        "code = tribkit.cli.main(['derive', '--basis', 'K', '--offsets', '-6,-4,-2', '--json'])\n"
+        "print(code, sorted({'decimal', 'pickle', 'signal'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("digits", [1, 4096, 4097, 8192, 8193, 40_000])
 def test_parse_int_at_leaf_edges(digits):
     text = "9" * digits
