@@ -1,11 +1,20 @@
-"""Command-line surface: eval | derive | certify | corpus | bench."""
+"""Command-line surface: eval | derive | certify | corpus | bench.
+
+One table, ``_SUBCOMMANDS``, describes each subcommand's arguments.  A
+well-formed argv is read from it in one pass (``_read_argv``), which either
+returns the namespace argparse would or declines.  Only a declined argv
+imports argparse and builds its parsers from the same table, so argparse
+prints every help, usage and error text.  The accepted syntax is argparse's:
+abbreviations and ``--opt=value`` still work, through argparse.
+"""
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
+from typing import NamedTuple
 
 from . import derive, dsl, fasteval
 from .certify import UnsupportedTerm, certify
@@ -103,60 +112,153 @@ def _json(obj) -> str:
     return json.dumps(obj)
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser.  tribkit has no short option but -h, so a token
-    led by a single "-" (``-5..5``, ``-1,0,1``, ``-W(r)=-W(r)``) is a value
-    or the certify identity, never an option."""
+class _Arg(NamedTuple):
+    """One argument of a subcommand, as ``_read_argv`` reads it and as
+    ``_parser`` adds it to argparse."""
 
-    def _parse_optional(self, arg_string):
-        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
-            return None  # a positional or a flag's value
-        return super()._parse_optional(arg_string)
+    flag: str | None  # None: certify's optional positional identity
+    dest: str
+    kind: str = "value"  # "value", "int", "flag" or "append"
+    help: str | None = None
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: object = None
+    required: bool = False
+    group: int | None = None  # a mutually exclusive group, of which exactly one is required
+
+
+#: Every subcommand, with its help and its arguments in the order argparse
+#: adds them; each argument is keyed by its option string.
+_SUBCOMMANDS = {
+    name: (text, {arg.flag: arg for arg in args})
+    for name, text, args in (
+        ("eval", "print exact sequence values", (
+            _Arg("--seq", "seq", choices=tuple(NAMED), help="named sequence", group=0),
+            _Arg("--seed", "seed", help="custom seed w0,w1,w2", group=0),
+            _Arg("--n", "n", "int", help="single index", group=1),
+            _Arg("--range", "range_", metavar="LO..HI", help="index range", group=1),
+            _Arg("--fast", "fast", "flag", default=False,
+                 help="accepted; every eval is O(log |n|)"),
+        )),
+        ("derive", "derive an addition formula", (
+            _Arg("--basis", "basis", choices=tuple(NAMED), required=True),
+            _Arg("--offsets", "offsets", required=True, metavar="O1,O2,O3"),
+            _Arg("--json", "json", "flag", default=False),
+        )),
+        ("certify", "certify an identity for all integers", (
+            _Arg(None, "identity", help="identity text", group=0),
+            _Arg("--file", "file", help="read the identity from a file", group=0),
+            _Arg("--json", "json", "flag", default=False),
+        )),
+        ("corpus", "certify the bundled identity corpus", (
+            _Arg("--only", "only", "append", help="restrict to these ids"),
+            _Arg("--path", "path", help="corpus file override"),
+        )),
+        ("bench", "benchmark evaluation strategies", (
+            _Arg("--n", "n", required=True, metavar="N1,N2,..."),
+            _Arg("--strategies", "strategies", default="iterate,double,matrix",
+                 metavar="S1,S2,..."),
+        )),
+    )
+}
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subparsers by command, built once per process."""
+def _parser():
+    """The argparse parser and its subparsers by command, built from
+    ``_SUBCOMMANDS`` once per process, and only for argv that
+    ``_read_argv`` declines."""
+    import argparse
+
+    class SubcommandParser(argparse.ArgumentParser):
+        """tribkit has no short option but -h, so a token led by a single
+        "-" (``-5..5``, ``-1,0,1``, ``-W(r)=-W(r)``) is a value or the
+        certify identity, never an option."""
+
+        def _parse_optional(self, arg_string):
+            if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string != "-h":
+                return None  # a positional or a flag's value
+            return super()._parse_optional(arg_string)
+
     parser = argparse.ArgumentParser(
         prog="tribkit",
         description="Workbench for generalized Tribonacci sequences and identities.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-
-    p_eval = sub.add_parser("eval", help="print exact sequence values")
-    group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--seq", choices=tuple(NAMED), help="named sequence")
-    group.add_argument("--seed", help="custom seed w0,w1,w2")
-    which = p_eval.add_mutually_exclusive_group(required=True)
-    which.add_argument("--n", type=int, help="single index")
-    which.add_argument("--range", dest="range_", metavar="LO..HI", help="index range")
-    p_eval.add_argument(
-        "--fast",
-        action="store_true",
-        help="accepted; every eval is O(log |n|)",
-    )
-
-    p_derive = sub.add_parser("derive", help="derive an addition formula")
-    p_derive.add_argument("--basis", choices=tuple(NAMED), required=True)
-    p_derive.add_argument("--offsets", required=True, metavar="O1,O2,O3")
-    p_derive.add_argument("--json", action="store_true")
-
-    p_cert = sub.add_parser("certify", help="certify an identity for all integers")
-    src = p_cert.add_mutually_exclusive_group(required=True)
-    src.add_argument("identity", nargs="?", help="identity text")
-    src.add_argument("--file", help="read the identity from a file")
-    p_cert.add_argument("--json", action="store_true")
-
-    p_corpus = sub.add_parser("corpus", help="certify the bundled identity corpus")
-    p_corpus.add_argument("--only", action="append", help="restrict to these ids")
-    p_corpus.add_argument("--path", help="corpus file override")
-
-    p_bench = sub.add_parser("bench", help="benchmark evaluation strategies")
-    p_bench.add_argument("--n", required=True, metavar="N1,N2,...")
-    p_bench.add_argument(
-        "--strategies", default="iterate,double,matrix", metavar="S1,S2,..."
-    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=SubcommandParser)
+    kinds = {"value": {}, "int": {"type": int}, "flag": {"action": "store_true"},
+             "append": {"action": "append"}}
+    for name, (text, args) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        groups = {}
+        for arg in args.values():
+            target = command
+            if arg.group is not None:
+                if arg.group not in groups:
+                    groups[arg.group] = command.add_mutually_exclusive_group(required=True)
+                target = groups[arg.group]
+            kwargs = {
+                key: value
+                for key, value in arg._asdict().items()
+                if key in ("choices", "default", "help", "metavar") and value is not None
+            }
+            if arg.required:
+                kwargs["required"] = True
+            kwargs.update(kinds[arg.kind])
+            if arg.flag is None:
+                target.add_argument(arg.dest, nargs="?", **kwargs)
+            else:
+                target.add_argument(arg.flag, dest=arg.dest, **kwargs)
     return parser, sub.choices
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse would return for ``argv``, read in one pass
+    over ``_SUBCOMMANDS``; None for any argv this cannot fully check: no or
+    an unknown command, -h, "--", ``--opt=value``, an abbreviation or any
+    other unknown token led by "--", a repeated option other than an append,
+    a missing value or one led by "--" or equal to -h, a failed choice or
+    int, a missing required argument, a broken exclusive group, or a second
+    positional.  As in argparse, a token led by one "-", other than -h, is
+    a value or the certify identity."""
+    command = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, args = command
+    values = {arg.dest: arg.default for arg in args.values()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        arg = args.get(token if token[:2] == "--" or token == "-h" else None)
+        if arg is None or arg.dest in seen and arg.kind != "append":
+            return None
+        seen.add(arg.dest)
+        if arg.flag is None:
+            values[arg.dest] = token
+        elif arg.kind == "flag":
+            values[arg.dest] = True
+        else:
+            value = next(tokens, None)
+            if value is None or value[:2] == "--" or value == "-h":
+                return None
+            if arg.kind == "int":
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if arg.choices is not None and value not in arg.choices:
+                return None
+            if arg.kind == "append":
+                values[arg.dest] = [*(values[arg.dest] or ()), value]
+            else:
+                values[arg.dest] = value
+    groups = [arg.group for arg in args.values() if arg.group is not None and arg.dest in seen]
+    if len(groups) != len(set(groups)) or any(
+        arg.required and arg.dest not in seen or arg.group is not None and arg.group not in groups
+        for arg in args.values()
+    ):
+        return None
+    values["command"] = argv[0]
+    return types.SimpleNamespace(**values)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -299,12 +401,17 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, with a known command parsed by its own
-    subparser: the top-level parser would only hand the rest of argv to it,
-    at twice the cost.  Leftover arguments give the top-level parser's
-    error, as ``parse_args`` does.
+def _parse_args(argv: list[str]):
+    """``parser.parse_args(argv)``: read by ``_read_argv`` when it can be,
+    else by argparse, which prints every usage, help and error text.  On
+    that path a known command is parsed by its own subparser: the top-level
+    parser would only hand the rest of argv to it, at twice the cost.
+    Leftover arguments give the top-level parser's error, as ``parse_args``
+    does.
     """
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     parser, subparsers = _parser()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is None:  # no or an unknown command, or a top-level option

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tribkit
 from tribkit import (
@@ -12,6 +18,7 @@ from tribkit import (
     TRIBONACCI_LUCAS,
     SeedVector,
     certify,
+    cli,
     derive_tribonacci_basis,
     fasteval,
     load_corpus,
@@ -524,3 +531,144 @@ def test_unrecognized_argument_error(capsys):
         "usage: tribkit [-h] {eval,derive,certify,corpus,bench} ...\n"
         "tribkit: error: unrecognized arguments: --bogus\n"
     )
+
+
+# Each way the one-pass reader declines, leaving argv to argparse.
+DECLINED = [
+    ["eval", "-h"],
+    ["certify", "--help"],
+    ["certify", "--json", "--", "-W(r)=-W(r)"],
+    ["eval", "--seq=T", "--n", "24"],
+    ["eval", "--seq", "T", "--n=24"],
+    ["derive", "--bas", "T", "--offsets", "-1,0,1"],
+    ["eval", "--seq", "T", "--n", "24", "--bogus"],
+    ["certify", "--x = W(r)"],
+    ["eval", "--seq", "T", "--n", "24", "--n", "25"],
+    ["derive", "--basis", "T", "--offsets", "-1,0,1", "--json", "--json"],
+    ["eval", "--seq", "T", "--n"],
+    ["eval", "--seq", "T", "--n", "--fast"],
+    ["eval", "--seq", "T", "--n", "-h"],
+    ["eval", "--seq", "Q", "--n", "24"],
+    ["eval", "--seq", "T", "--n", "x"],
+    ["eval", "--seq", "T", "--n", "1" * 5000],
+    ["derive", "--offsets", "-1,0,1"],
+    ["eval", "--seq", "T"],
+    ["eval", "--seq", "T", "--seed", "1,2,3", "--n", "24"],
+    ["certify", "W(r)=W(r)", "--file", "x"],
+    ["certify", "W(r)=W(r)", "W(r)"],
+    ["eval", "--seq", "T", "--n", "24", "x"],
+    [],
+    ["frobnicate"],
+]
+
+_VALUES = st.one_of(
+    st.sampled_from([
+        "T", "K", "", "-", "-x", "-1,0,1", "1,2,3", "-917,44,3051", "-5..5", "3..1", "-5..-2",
+        "eq12", "thm4", "iterate,double", "matrix", "W(r)=W(r)", "-W(r)=-W(r)", "W(r) = 2*W(r-1)",
+    ]),
+    st.integers(-30, 30).map(str),
+    st.integers(0, 30).map(lambda n: f"+{n}"),
+    st.integers(10, 30).map(lambda n: f"{n // 10}_{n % 10}"),
+    st.integers(-30, 30).map(lambda n: f" {n} "),
+)
+_TOKENS = st.one_of(
+    _VALUES,
+    st.sampled_from(sorted({flag for _, args in cli._SUBCOMMANDS.values() for flag in args if flag})),
+    st.sampled_from(sorted({token for argv in DECLINED for token in argv if token[:1] == "-"})),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command's arguments from its table: one member of each exclusive
+    group, every required argument and any others, in any order, with a
+    value each; then maybe a token deleted, or one or two inserted anywhere."""
+    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    args, groups = [], {}
+    for arg in cli._SUBCOMMANDS[command][1].values():
+        if arg.group is not None:
+            groups.setdefault(arg.group, []).append(arg)
+        elif arg.required or draw(st.booleans()):
+            args.append(arg)
+    args += [draw(st.sampled_from(members)) for members in groups.values()]
+    pieces = []
+    for arg in draw(st.permutations(args)):
+        value = draw(st.one_of(st.sampled_from(arg.choices), _VALUES) if arg.choices else _VALUES)
+        pieces.append([value] if arg.flag is None else [arg.flag] if arg.kind == "flag" else [arg.flag, value])
+    tokens = [t for piece in pieces for t in piece]
+    edit = draw(st.sampled_from(["none", "none", "delete", "insert"]))
+    if edit == "delete" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    if edit == "insert":
+        for token in draw(st.lists(_TOKENS, min_size=1, max_size=2)):
+            tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return [command, *tokens]
+
+
+def _argparse_only():
+    return mock.patch.object(cli, "_read_argv", lambda argv: None)
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    # bench's nanoseconds column is a measurement
+    return code, re.sub(r"^(-?\d+,\w+,)\d+,", r"\1,", out.getvalue(), flags=re.M), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["eval", "--seq", "K", "--range", "-5..5", "--fast"])
+@example(argv=["certify", "--json", "-2*W(r)=-W(r)-W(r)"])
+@example(argv=["corpus", "--only", "eq12", "--only", "-x", "--path", ""])
+@example(argv=["bench", "--n", " +1_0 ,-5", "--strategies", "-"])
+def test_read_argv_agrees_with_argparse(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # so that no --file or --path exists
+    fast = cli._read_argv(argv)
+    if fast is not None:
+        with _argparse_only(), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                slow = cli._parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}")
+        assert vars(fast) == vars(slow)
+    with _argparse_only():
+        expected = _main(argv)
+    assert _main(argv) == expected
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_read_argv_declines(argv):
+    assert cli._read_argv(argv) is None
+
+
+_WELL_FORMED_CALLS = """
+import contextlib, io, sys
+from tribkit.cli import main
+argvs = [
+    ["eval", "--seq", "T", "--n", "24"],
+    ["derive", "--basis", "K", "--offsets", "-1,0,1", "--json"],
+    ["certify", "-W(r)=-W(r)"],
+    ["corpus", "--only", "eq12"],
+    ["bench", "--n", "5", "--strategies", "double"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+assert "argparse" not in sys.modules
+assert main(["eval", "-h"]) == 0
+assert main(["eval", "--seq", "T"]) == 2
+"""
+
+
+def test_well_formed_argv_skips_argparse():
+    src = Path(tribkit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WELL_FORMED_CALLS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: tribkit eval [-h] (--seq {T,K} | --seed SEED)")
+    assert "\n  --fast " in proc.stdout
+    assert proc.stderr.startswith("usage: tribkit eval [-h]")
+    assert proc.stderr.endswith("tribkit eval: error: one of the arguments --n --range is required\n")
