@@ -340,7 +340,7 @@ def _certify_report(ast: dsl.IdentityAst, as_json: bool) -> int:
 
 def _cmd_certify(args) -> int:
     text = args.identity
-    if args.file:
+    if args.file is not None:  # --file '' names no file: an OSError, not the identity
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()

@@ -40,9 +40,12 @@ Squares.  Each kernel step's five squares and the finish's three are
 independent, so each set is one ``sequences._squares`` batch, and every
 square goes through ``sequences._square``.  Past ``sequences._TOOM4_BITS``
 bits an operand is squared by Toom-4, and past ``sequences._SPLIT_BITS``
-bits a batch is shared with a forked worker process on a second CPU; the
-sizes, their measurements and the algorithms are documented there.  The
-values and ``mul_count`` are the same either way.
+bits a batch is shared with a forked worker process on a second CPU.  Both
+batches have an odd number of operands: the worker squares the last
+len // 2 of them and three of the last one's seven Toom-4 points, so each
+CPU squares about half of every big batch (fast_term(T, 10^6) went
+43.95 -> 40.02 ms).  The sizes, their measurements and the algorithms are
+documented there.  The values and ``mul_count`` are the same either way.
 
 ``mul_count`` counts the big-integer squares of the algorithm
 ``fast_term`` performs: 5 per bit of |m| in the kernel and 3 in the

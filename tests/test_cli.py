@@ -622,6 +622,7 @@ def _main(argv):
 @example(argv=["eval", "--seq", "K", "--range", "-5..5", "--fast"])
 @example(argv=["certify", "--json", "-2*W(r)=-W(r)-W(r)"])
 @example(argv=["corpus", "--only", "eq12", "--only", "-x", "--path", ""])
+@example(argv=["certify", "--json", "--file", ""])
 @example(argv=["bench", "--n", " +1_0 ,-5", "--strategies", "-"])
 def test_read_argv_agrees_with_argparse(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # so that no --file or --path exists

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -157,39 +158,93 @@ def test_worker_changes_no_value_or_count(monkeypatch, n):
 
 def test_each_batch_past_the_split_sends_one_request(monkeypatch):
     monkeypatch.setattr(sequences, "_can_fork", lambda: True)
-    batches, requests = [], []
+    batches, requests, workers = [], [], set()
 
     def recorded(squares):
         def batch(xs):
-            batches.append((len(xs), xs[0].bit_length(), max(map(int.bit_length, xs))))
+            bits = [x.bit_length() for x in xs]
+            batches.append((len(xs), bits[0], max(bits), bits[-1]))
             return squares(xs)
 
         return batch
 
     monkeypatch.setattr(sequences, "_squares", recorded(sequences._squares))
     monkeypatch.setattr(fasteval, "_squares", recorded(fasteval._squares))
-    # the parent pickles exactly one frame per request
-    dump = pickle.dump
-    monkeypatch.setattr(pickle, "dump", lambda obj, *args: requests.append(len(obj)) or dump(obj, *args))
+    # this process pickles exactly one frame per request: the worker's groups
+    # of operands, each answered by a reply frame of its own
+    here, dump = os.getpid(), pickle.dump
+
+    def recorded_dump(obj, *args):
+        if os.getpid() == here:  # not the worker's replies
+            requests.append(tuple(map(len, obj)))
+        return dump(obj, *args)
+
+    monkeypatch.setattr(pickle, "dump", recorded_dump)
     for n in (10**6, -(10**6), 10**5 + 1, 70_001, 40_001):
         batches.clear()
         requests.clear()
         fast_term(TRIBONACCI, n)
+        workers.add(sequences._worker[0])
         # five squares per bit of |n // 2|, then the finish's three
-        assert [k for k, _, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
+        assert [k for k, _, _, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
         # the first operand alone decides, and it is near enough the largest
-        # that deciding by the largest would split the same batches
-        assert requests == [k // 2 for k, first, _ in batches if first > _SPLIT_BITS]
-        assert [first > _SPLIT_BITS for _, first, _ in batches] == [
-            top > _SPLIT_BITS for _, _, top in batches
+        # that deciding by the largest would split the same batches; the
+        # worker gets the last k // 2 operands, and first three Toom-4 points
+        # of an odd batch's last operand once that is past _TOOM4_BITS
+        assert requests == [
+            (3, k // 2) if k % 2 and last > _TOOM4_BITS else (k // 2,)
+            for k, first, _, last in batches
+            if first > _SPLIT_BITS
+        ]
+        assert [first > _SPLIT_BITS for _, first, _, _ in batches] == [
+            top > _SPLIT_BITS for _, _, top, _ in batches
         ]
         assert bool(requests) == (n != 40_001)
-    big, small = 1 << _SPLIT_BITS, 3
+        if abs(n) == 10**6:  # the kernel's last steps and the finish share points
+            assert requests[-2:] == [(3, 2), (3, 1)]
+    big, small, toom = 1 << _SPLIT_BITS, 3, 1 << _TOOM4_BITS
     requests.clear()
     assert sequences._squares((small, big)) == [small * small, big * big]
     assert requests == []
     assert sequences._squares((big, small)) == [big * big, small * small]
-    assert requests == [1]
+    assert requests == [(1,)]
+    # a lone operand past the split leaves the worker nothing until it is
+    # past _TOOM4_BITS, and then three of its seven points
+    requests.clear()
+    assert sequences._squares((big,)) == [big * big]
+    assert sequences._squares((toom - 1,)) == [(toom - 1) ** 2]
+    assert requests == []
+    assert sequences._squares((toom,)) == [toom * toom]
+    assert sequences._squares((toom, small, -toom)) == [toom * toom, small * small, toom * toom]
+    assert requests == [(3, 0), (3, 1)]
+    workers.add(sequences._worker[0])
+    assert len(workers) == 1  # no reply failed and cost the worker
+    sequences._discard_worker()
+
+
+def _traced_peak(fn):
+    fn()  # warm: the first call allocates what later calls reuse
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# traced peaks in bytes when _square evaluated and interpolated Toom-4 inline
+# and the worker took whole operands only (Python 3.10-3.13): a 440,000-bit
+# square 425,804, fast_term(T, 10^6) 953,468 here and 938,180 with a worker
+@pytest.mark.parametrize("mode, fast_term_peak", [("local", 953_468), ("worker", 938_180)])
+def test_traced_peaks_of_big_squares_stay_bounded(monkeypatch, mode, fast_term_peak):
+    # each point is dropped once squared and each square once interpolated,
+    # and the worker's three points leave this process before any is squared
+    monkeypatch.setattr(sequences, "_can_fork", lambda: mode == "worker")
+    sequences._discard_worker()
+    x = random.Random(1).getrandbits(440_000) | 1 << 439_999
+    assert _traced_peak(lambda: sequences._square(x)) <= 1.1 * 425_804
+    assert _traced_peak(lambda: fast_term(TRIBONACCI, 10**6)) <= 1.1 * fast_term_peak
+    assert (sequences._worker is not None) == (mode == "worker")
     sequences._discard_worker()
 
 

@@ -163,12 +163,50 @@ def worker_mode(request, monkeypatch):
     sequences._discard_worker()
 
 
-def _operands(rng, count, bits):
+def _full(rng, bits):
+    return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+
+
+def _operands(rng, count, bits, last=None):
     """``count`` signed operands, the first and largest with exactly ``bits``
-    bits, as ``_squares``' callers order them."""
-    xs = [rng.getrandbits(bits - 1) | 1 << (bits - 1)]
+    bits, as ``_squares``' callers order them; ``last``, if given, replaces
+    the last one."""
+    xs = [_full(rng, bits)]
     xs += [rng.getrandbits(rng.randint(1, bits)) for _ in range(count - 1)]
-    return tuple(-x if rng.random() < 0.5 else x for x in xs)
+    xs = tuple(-x if rng.random() < 0.5 else x for x in xs)
+    return xs if last is None else xs[:-1] + (last,)
+
+
+def _toom_batch(rng, count):
+    """An odd batch past the split whose last operand is past _TOOM4_BITS:
+    three of that operand's seven Toom-4 points go to the worker."""
+    bits = _TOOM4_BITS + 1000
+    return _operands(rng, count, bits, -_full(rng, bits))
+
+
+# the last operand of an odd batch: either side of _TOOM4_BITS, and the
+# shapes toom_operands draws, one of them across a second Toom-4 level
+_LAST_OPERANDS = {
+    "toom4_bits-1": lambda rng: _full(rng, _TOOM4_BITS - 1),
+    "toom4_bits": lambda rng: _full(rng, _TOOM4_BITS),
+    "toom4_bits+1": lambda rng: _full(rng, _TOOM4_BITS + 1),
+    "short_top_limb": lambda rng: _full(rng, 4 * 40_000 - 3),
+    "zero_limbs": lambda rng: 1 << (4 * 7_000 - 1) | 1,
+    "power_of_two": lambda rng: 1 << (4 * 7_000 - 1),
+    "negative": lambda rng: -_full(rng, 3 * _TOOM4_BITS),
+}
+
+
+@pytest.mark.parametrize("count", [1, 3, 5])
+@pytest.mark.parametrize("shape", sorted(_LAST_OPERANDS))
+def test_odd_batch_shares_its_last_operands_points(worker_mode, count, shape):
+    rng = random.Random(f"{shape}{count}")
+    last = _LAST_OPERANDS[shape](rng)
+    xs = _operands(rng, count, max(_TOOM4_BITS + 1, abs(last).bit_length()), last)
+    assert _squares(xs) == [x * x for x in xs]
+    # a lone operand that Toom-4 does not split leaves the worker nothing
+    idle = count == 1 and abs(last).bit_length() <= _TOOM4_BITS
+    assert (sequences._worker is not None) == (worker_mode == "worker" and not idle)
 
 
 @pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1, 40 * _SPLIT_BITS])
@@ -183,48 +221,101 @@ def test_squares_batch_matches_products(worker_mode, bits):
     assert (sequences._worker is not None) == split
 
 
+def _failure_batches(rng):
+    """Each failure test runs on a batch of whole operands and on one whose
+    last operand's Toom-4 points are shared."""
+    return _operands(rng, 5, _SPLIT_BITS + 1000), _toom_batch(rng, 5)
+
+
 def test_exception_between_request_and_reply_discards_the_worker(worker_mode, monkeypatch):
     rng = random.Random(5)
-    first, second = _operands(rng, 5, _SPLIT_BITS + 1000), _operands(rng, 5, _SPLIT_BITS + 1000)
-    _squares(first)
-    pid = sequences._worker and sequences._worker[0]
-    raised = []
+    whole, points = _failure_batches(rng)
+    # the exception comes at the first square here, or in a batch that shares
+    # its last operand's points: at the first point this process squares,
+    # once the worker's point squares are read (and its operands' are not),
+    # or at the first operand this process squares after the join
+    cases = [("square", whole), ("point", points), ("operand", points)]
+    if worker_mode == "worker":
+        cases.append(("reply", points))
+    load = pickle.load
+    for at, batch in cases:
+        _squares(batch)
+        pid = sequences._worker and sequences._worker[0]
+        failing = {"point": sequences._toom4_points(batch[-1])[1][0], "operand": batch[0]}.get(at)
+        raised = []
 
-    def square_failing_once(x):
-        if not raised:
-            raised.append(x)
-            raise KeyboardInterrupt
-        return _square(x)
+        def square_failing_once(x):
+            if not raised and (failing is None or x == failing):
+                raised.append(x)
+                raise KeyboardInterrupt
+            return _square(x)
 
-    monkeypatch.setattr(sequences, "_square", square_failing_once)
-    with pytest.raises(KeyboardInterrupt):
-        _squares(first)
-    if pid:  # the worker that may hold the unread reply is gone
-        assert sequences._worker is None
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-    assert _squares(second) == [x * x for x in second]
+        def load_failing_once(file):
+            reply = load(file)
+            if not raised:
+                raised.append(reply)
+                raise KeyboardInterrupt
+            return reply
+
+        with monkeypatch.context() as patch:
+            if at == "reply":
+                patch.setattr(pickle, "load", load_failing_once)
+            else:
+                patch.setattr(sequences, "_square", square_failing_once)
+            with pytest.raises(KeyboardInterrupt):
+                _squares(batch)
+        if pid:  # the worker that may hold the unread reply is gone
+            assert sequences._worker is None
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        # a stale reply to the failed batch would give wrong squares here
+        second = tuple(x + 1 for x in batch)
+        assert _squares(second) == [x * x for x in second]
+
+
+def test_workers_point_squares_are_read_before_the_operands_here(monkeypatch):
+    # a reply left unread while this process squares whole operands could
+    # fill the pipe (80 KB of point squares at 440,000 bits) and stall the worker
+    monkeypatch.setattr(sequences, "_can_fork", lambda: True)
+    sequences._discard_worker()
+    xs = _toom_batch(random.Random(9), 5)
+    _squares(xs)  # fork the worker before the patches
+    events = []
+    load, square = pickle.load, sequences._square
+    monkeypatch.setattr(pickle, "load", lambda file: events.append("reply") or load(file))
+    monkeypatch.setattr(
+        sequences, "_square", lambda x: events.append(xs.index(x) if x in xs else "point") or square(x)
+    )
+    assert _squares(xs) == [x * x for x in xs]
+    assert events[:6] == ["point"] * 4 + ["reply", 0]
+    assert events.count("reply") == 2
+    sequences._discard_worker()
 
 
 def test_dead_worker_is_replaced_by_local_squares(worker_mode):
-    xs = _operands(random.Random(6), 5, _SPLIT_BITS + 1)
-    _squares(xs)
-    if worker_mode == "worker":
-        os.kill(sequences._worker[0], signal.SIGKILL)
-    assert _squares(xs) == [x * x for x in xs]
-    assert _squares(xs) == [x * x for x in xs]
+    for xs in _failure_batches(random.Random(6)):
+        _squares(xs)
+        if worker_mode == "worker":
+            os.kill(sequences._worker[0], signal.SIGKILL)
+        assert _squares(xs) == [x * x for x in xs]
+        assert _squares(xs) == [x * x for x in xs]
 
 
 def test_reply_cut_off_mid_frame_is_squared_here(monkeypatch):
     def fork_half_replying_worker():
-        """A worker that answers its first request with half a frame and exits."""
+        """A worker that answers its first request's last group of operands
+        with half a frame and exits: the only reply of a batch of whole
+        operands, the second one of a batch that shares Toom-4 points."""
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
                 with open(request_r, "rb") as requests, open(reply_w, "wb") as replies:
-                    frame = pickle.dumps([x * x for x in pickle.load(requests)], pickle.HIGHEST_PROTOCOL)
+                    *answered, cut = pickle.load(requests)
+                    for operands in answered:
+                        pickle.dump([x * x for x in operands], replies, pickle.HIGHEST_PROTOCOL)
+                    frame = pickle.dumps([x * x for x in cut], pickle.HIGHEST_PROTOCOL)
                     replies.write(frame[: len(frame) // 2])
             finally:
                 os._exit(0)
@@ -234,16 +325,17 @@ def test_reply_cut_off_mid_frame_is_squared_here(monkeypatch):
 
     monkeypatch.setattr(sequences, "_can_fork", lambda: True)
     monkeypatch.setattr(sequences, "_fork_worker", fork_half_replying_worker)
-    sequences._discard_worker()
-    xs = _operands(random.Random(8), 5, _SPLIT_BITS + 1)
-    assert _squares(xs) == [x * x for x in xs]
-    assert sequences._worker is None
+    for xs in _failure_batches(random.Random(8)):
+        sequences._discard_worker()
+        assert _squares(xs) == [x * x for x in xs]
+        assert sequences._worker is None
 
 
 def test_threads_share_the_worker_without_mixing_replies(monkeypatch):
     monkeypatch.setattr(sequences, "_can_fork", lambda: True)
     rng = random.Random(7)
     batches = [_operands(rng, 5, _SPLIT_BITS + 1 + 97 * i) for i in range(6)]
+    batches += [_toom_batch(rng, count) for count in (1, 3, 5)]
     _squares(batches[0])  # fork the worker while this is the only thread
     wrong = []
 
