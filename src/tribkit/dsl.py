@@ -22,18 +22,28 @@ Grammar (# starts a comment, whitespace is insignificant):
     var      := "r" | "s"
 
 The parser takes its tokens from one ``re.findall`` pass and descends
-over that list of strings.  A term gathers its coefficient and one
-exponent per distinct sequence factor, and a sum adds its terms into one
-dict.  A parenthesized group of one monomial with coefficient 1 or -1,
-such as (W(r)) or (-T(s)^2), folds into the term: its power multiplies its
-exponents, and an odd power of -1 flips the term's sign.  Only the other
-groups are multiplied out, once per unit of their power, with ``poly_mul``.
-Tokens carry no positions: a ``ParseError`` finds its position by
-scanning the text again, which only errors pay for.  A coefficient literal
-may have any length (``numtext.parse_int``); an exponent or index literal
-past the interpreter's int->str digit limit is a ``ParseError``.
-Parentheses nest at most ``MAX_DEPTH`` deep, a sequence factor's own
-included, so the descent (three frames per group) stays far inside the
+over that list of strings.  A sequence factor written without spaces, with
+an offset of at most 18 digits (W(r-3), T(s+r+1), K(-5)), is one token, a
+compact factor, which ``_compact`` reads.  The canonical spellings, those
+``render`` writes, of offsets |offset| < 64 go into a table (``_FACTORS``)
+filled on first use: it never holds more than 3 * 4 * 127 = 1,524
+entries, and nothing is built at import.  Any other spelling, such as
+W ( r - 3 ) or an offset of 19 digits or more, takes one token per number,
+letter or operator, and meets the same checks; an error inside a compact
+factor gives the message and position the spaced spelling would.  A term
+gathers its coefficient, sign included, and one exponent per distinct
+sequence factor, and adds itself into its sum's dict.  A parenthesized
+group of one monomial with coefficient 1 or -1, such as (W(r)) or
+(-T(s)^2), folds into the term: its power multiplies its exponents, and an
+odd power of -1 flips the term's sign.  Only the other groups are
+multiplied out, once per unit of their power, with ``poly_mul``.  Tokens
+carry no positions: a ``ParseError`` finds its position by scanning the
+text again, which only errors pay for.  A coefficient literal may have any
+length (``numtext.parse_int``); an exponent or index literal past the
+interpreter's int->str digit limit is a ``ParseError``.  Parentheses nest
+at most ``MAX_DEPTH`` deep, a sequence factor's own included, so
+W(r) inside MAX_DEPTH groups is refused at its own "(" whether compact or
+spaced, and the descent (three frames per group) stays far inside the
 interpreter's recursion limit.  Multiplying out groups costs one monomial
 product per pair of monomials, len(a) * len(b) for ``poly_mul(a, b)``; one
 ``parse`` call spends at most ``MAX_PRODUCTS`` of them, nested groups
@@ -47,7 +57,7 @@ parse(render(x)) == x at any size.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .numtext import format_int, parse_int
@@ -83,21 +93,34 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial helpers (dict[Monomial, int] while under construction)
 
+_first = itemgetter(0)
+
 
 def poly_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials whose monomials each hold a factor at
+    most once, as the parser builds them."""
     out: dict = {}
     for m1, c1 in a.items():
+        factors = set(map(_first, m1))
         for m2, c2 in b.items():
-            merged: dict = {}
-            for f, e in m1 + m2:
-                merged[f] = merged.get(f, 0) + e
-            m = tuple(sorted(merged.items()))
+            if factors.isdisjoint(map(_first, m2)):  # no exponents to add
+                m = tuple(sorted(m1 + m2))
+            else:
+                merged: dict = {}
+                for f, e in m1 + m2:
+                    merged[f] = merged.get(f, 0) + e
+                m = tuple(sorted(merged.items()))
             out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
+    return _nonzero(out)
+
+
+def _nonzero(poly: dict) -> dict:
+    """``poly`` without its zero terms: ``poly`` itself when it has none."""
+    return poly if all(poly.values()) else {m: c for m, c in poly.items() if c}
 
 
 def _freeze(poly: dict) -> Side:
-    return tuple(sorted((m, c) for m, c in poly.items() if c != 0))
+    return tuple(sorted(_nonzero(poly).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +212,37 @@ def degree_profile(ast: IdentityAst) -> DegreeProfile:
 # parsing
 
 #: One match per token or comment; group 1 is the token ("" for a comment).
-#: Any other non-space character is a token of its own, refused by ``_error``.
-_TOKENS = re.compile(r"#[^\n]*|(\d+|[A-Za-z]|[-+*^()=]|\S)")
+#: A compact factor (module docstring) comes first; any other non-space
+#: character outside the grammar is a token of its own, refused by ``_error``.
+_TOKENS = re.compile(
+    r"#[^\n]*"
+    r"|([WTK]\((?:(?:r(?:\+s)?|s(?:\+r)?)(?:[-+]\d{1,18})?|[-+]?\d{1,18})\)"  # compact factor
+    r"|\d+|[A-Za-z]|[-+*^()=]|\S)"
+)
 _FACTOR_START = frozenset(("(",) + SYMBOLS)
 _SIGNS = ("+", "-")
 
+#: Compact factor token -> factor, for canonical spellings of offsets
+#: |offset| < 64 only, filled on first use (module docstring).
+_FACTORS: dict[str, Factor] = {}
+
 
 class _Fail(Exception):
-    """A syntax error at a token index; ``parse`` turns it into a ParseError."""
+    """A syntax error at a token index, and optionally a character offset
+    within that token; ``parse`` turns it into a ParseError."""
+
+
+def _found(tok: str) -> str:
+    """How an error names a token.  A compact factor is named by its
+    symbol, as it would be had it been written with spaces."""
+    if not tok:
+        return "end of input"
+    return tok[0] if tok[1:2] == "(" else tok
 
 
 def _expect(toks: list[str], i: int, value: str) -> int:
     if toks[i] != value:
-        raise _Fail(f"expected {value!r}, found {toks[i] or 'end of input'!r}", i)
+        raise _Fail(f"expected {value!r}, found {_found(toks[i])!r}", i)
     return i + 1
 
 
@@ -212,11 +253,18 @@ def parse(text: str) -> IdentityAst:
         toks = [t for t in toks if t]
     toks.append("")  # end of input
     try:
-        if toks.count("(") > MAX_DEPTH:  # one pass, before the descent
-            depths = accumulate((t == "(") - (t == ")") for t in toks)
-            deep = next((i for i, d in enumerate(depths) if d > MAX_DEPTH), None)
-            if deep is not None:
-                raise _Fail(f"parentheses nested deeper than {MAX_DEPTH}", deep)
+        # One pass, before the descent.  A compact factor's own "(", its
+        # tok[1], may reach one deeper than the "(" tokens alone.
+        if toks.count("(") >= MAX_DEPTH:
+            depth = 0
+            for i, tok in enumerate(toks):
+                if tok == "(" or tok[1:2] == "(":
+                    if depth == MAX_DEPTH:
+                        message = f"parentheses nested deeper than {MAX_DEPTH}"
+                        raise _Fail(message, i, tok.index("("))
+                    depth += tok == "("
+                elif tok == ")":
+                    depth -= 1
         spent = [0]  # monomial products so far, shared by every group
         lhs, i = _expr(toks, 0, spent)
         rhs, i = _expr(toks, _expect(toks, i, "="), spent)
@@ -227,10 +275,11 @@ def parse(text: str) -> IdentityAst:
     return identity(lhs, rhs)
 
 
-def _error(text: str, message: str, index: int) -> ParseError:
-    """The ParseError for token ``index``.  Tokens carry no positions, so
-    this scans ``text`` again.  A character outside the grammar, wherever
-    it stands, is reported in place of the syntax error.
+def _error(text: str, message: str, index: int, within: int = 0) -> ParseError:
+    """The ParseError for character ``within`` of token ``index``.  Tokens
+    carry no positions, so this scans ``text`` again.  A character outside
+    the grammar, wherever it stands, is reported in place of the syntax
+    error.
     """
     pos = len(text)
     tokens = (m for m in _TOKENS.finditer(text) if m.group(1))
@@ -238,60 +287,72 @@ def _error(text: str, message: str, index: int) -> ParseError:
         if not re.match(r"\d|[A-Za-z]|[-+*^()=]", m.group(1)):  # compiled on first error
             return ParseError(f"unexpected character {m.group(1)!r}", m.start(1))
         if n == index:
-            pos = m.start(1)
+            pos = m.start(1) + within
     return ParseError(message, pos)
 
 
 def _expr(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
     """A signed sum of terms, added in place into one dict."""
     acc: dict = {}
-    get = acc.get
     sign = -1 if toks[i] == "-" else 1
     if toks[i] in _SIGNS:
         i += 1
     while True:
-        poly, i = _term(toks, i, spent)
-        for m, c in poly.items():
-            acc[m] = get(m, 0) + sign * c
+        i = _term(toks, i, spent, acc, sign)
         if toks[i] not in _SIGNS:
-            return {m: c for m, c in acc.items() if c}, i
+            return _nonzero(acc), i
         sign = -1 if toks[i] == "-" else 1
         i += 1
 
 
-def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
-    """A product: one coefficient, one exponent per distinct sequence
-    factor, and the parenthesized groups that do not fold (``_factor``),
-    which alone go through ``poly_mul``, each charged to ``spent`` first.
+def _term(toks: list[str], i: int, spent: list[int], acc: dict, coeff: int) -> int:
+    """Add a product, times ``coeff`` (the term's sign), into ``acc``: one
+    coefficient, one exponent per distinct sequence factor, and the
+    parenthesized groups that do not fold (``_factor``), which alone go
+    through ``poly_mul``, each charged to ``spent`` first.  A compact
+    factor is read here, without a call to ``_factor``.  Returns the next
+    token index.
     """
     tok = toks[i]
-    coeff = 1
     exps: dict = {}
     groups: list = []
     if tok.isdecimal():
-        coeff = parse_int(tok)
+        coeff *= parse_int(tok)
         i += 1
-    elif tok in _FACTOR_START:
-        i, sign = _factor(toks, i, exps, groups, spent)
-        coeff *= sign
-    else:
-        raise _Fail(f"expected a term, found {tok or 'end of input'!r}", i)
-    while True:
         tok = toks[i]
+    elif tok[:1] not in _FACTOR_START:
+        raise _Fail(f"expected a term, found {_found(tok)!r}", i)
+    while True:
         if tok == "*":
             i += 1
             tok = toks[i]
             if tok.isdecimal():  # liberal: integers allowed mid-product
                 coeff *= parse_int(tok)
                 i += 1
+                tok = toks[i]
                 continue
-            if tok not in _FACTOR_START:
-                raise _Fail(f"expected a factor after '*', found {tok or 'end of input'!r}", i)
-        elif tok not in _FACTOR_START:  # else juxtaposition, e.g. 2W(r)
+            if tok[:1] not in _FACTOR_START:
+                raise _Fail(f"expected a factor after '*', found {_found(tok)!r}", i)
+        elif tok[:1] not in _FACTOR_START:  # else juxtaposition, e.g. 2W(r)
             break
-        i, sign = _factor(toks, i, exps, groups, spent)
-        coeff *= sign
-    poly = {tuple(sorted(exps.items())): coeff} if coeff else {}
+        if len(tok) > 1:  # a compact factor
+            factor = _FACTORS.get(tok) or _compact(tok)
+            e = 1
+            i += 1
+            if toks[i] == "^":
+                e, i = _power(toks, i + 1)
+            exps[factor] = exps.get(factor, 0) + e
+        else:
+            i, sign = _factor(toks, i, exps, groups, spent)
+            coeff *= sign
+        tok = toks[i]
+    mono = tuple(exps.items())
+    if len(mono) > 1:
+        mono = tuple(sorted(mono))
+    if not groups:
+        acc[mono] = acc.get(mono, 0) + coeff
+        return i
+    poly = {mono: coeff} if coeff else {}
     for group, e, start in groups:
         for _ in range(e):
             if not poly:
@@ -300,17 +361,20 @@ def _term(toks: list[str], i: int, spent: list[int]) -> tuple[dict, int]:
             if spent[0] > MAX_PRODUCTS:
                 raise _Fail(f"multiplying out the group takes over {MAX_PRODUCTS} products", start)
             poly = poly_mul(poly, group)
-    return poly, i
+    for m, c in poly.items():
+        acc[m] = acc.get(m, 0) + c
+    return i
 
 
 def _factor(
     toks: list[str], i: int, exps: dict, groups: list, spent: list[int]
 ) -> tuple[int, int]:
-    """Add the factor at ``toks[i]`` to a product: a sequence factor to
-    ``exps``, a parenthesized group, its power and its token index to
-    ``groups``.  A group of one monomial with coefficient 1 or -1 adds its
-    exponents, times the power, to ``exps`` instead, at no product.
-    Returns the next token index and the sign the factor puts on the term.
+    """Add the spaced sequence factor or parenthesized group at ``toks[i]``
+    to a product: a sequence factor to ``exps``, a group, its power and its
+    token index to ``groups``.  A group of one monomial with coefficient 1
+    or -1 adds its exponents, times the power, to ``exps`` instead, at no
+    product.  Returns the next token index and the sign the factor puts on
+    the term.
     """
     group = None
     start = i
@@ -321,11 +385,7 @@ def _factor(
     i = _expect(toks, i, ")")
     e = 1
     if toks[i] == "^":
-        i += 1
-        e = _small_int(toks, i) if toks[i].isdecimal() else 0
-        if e < 1:
-            raise _Fail("exponent must be a positive integer", i)
-        i += 1
+        e, i = _power(toks, i + 1)
     if group is None:
         exps[factor] = exps.get(factor, 0) + e
         return i, 1
@@ -339,6 +399,14 @@ def _factor(
     return i, 1
 
 
+def _power(toks: list[str], i: int) -> tuple[int, int]:
+    """The exponent after a "^" and the next token index."""
+    e = _small_int(toks, i) if toks[i].isdecimal() else 0
+    if e < 1:
+        raise _Fail("exponent must be a positive integer", i)
+    return e, i + 1
+
+
 def _small_int(toks: list[str], i: int) -> int:
     """An exponent or index literal.  Past the interpreter's int->str digit
     limit ``int`` refuses it, and so does the parser: such a value could
@@ -350,12 +418,29 @@ def _small_int(toks: list[str], i: int) -> int:
         raise _Fail("exponent or index literal too long", i) from None
 
 
+def _compact(tok: str) -> Factor:
+    """The factor of a compact token, entered in ``_FACTORS`` when ``tok``
+    is its canonical spelling and its offset is below 64 in magnitude."""
+    symbol, index = tok[0], tok[2:-1]
+    if index[0] in VARS:
+        both = index[1:2] == "+" and index[2:3] in VARS  # r+s or s+r
+        vars_ = VARS if both else (index[0],)
+        rest = index[3:] if both else index[1:]
+        offset = int(rest) if rest else 0
+    else:
+        vars_, offset = (), int(index)
+    factor = (symbol, vars_, offset)
+    if -64 < offset < 64 and index == _render_index(vars_, offset):
+        _FACTORS[tok] = factor
+    return factor
+
+
 def _index(toks: list[str], i: int, symbol: str) -> tuple[Factor, int]:
     tok = toks[i]
     vars_: tuple[str, ...] = ()
-    if tok.isalpha() and tok.isascii():
+    if tok[:1].isalpha() and tok[:1].isascii():  # a compact factor is refused by its symbol
         if tok not in VARS:
-            raise _Fail(f"unknown index variable {tok!r}", i)
+            raise _Fail(f"unknown index variable {_found(tok)!r}", i)
         vars_ = (tok,)
         if toks[i + 1] == "+" and toks[i + 2] in VARS:
             if toks[i + 2] == tok:
@@ -379,7 +464,7 @@ def _index(toks: list[str], i: int, symbol: str) -> tuple[Factor, int]:
     elif vars_:
         offset = 0
     else:
-        raise _Fail(f"expected an index, found {tok or 'end of input'!r}", i)
+        raise _Fail(f"expected an index, found {_found(tok)!r}", i)
     return (symbol, vars_, offset), i
 
 

@@ -1,16 +1,22 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tribkit import (
+    DegenerateOffsets,
     ParseError,
     degree_profile,
+    derive_lucas_basis,
     derive_tribonacci_basis,
     load_corpus,
     parse,
     render,
+    swap_roles,
     template_to_ast,
 )
+from tribkit.certify import single_coefficient_mutants
 from tribkit import dsl
 from tribkit.dsl import MAX_DEPTH, MAX_PRODUCTS, SYMBOLS, IdentityAst, identity
 
@@ -354,3 +360,159 @@ def test_long_literals():
     for text in (f"W(r+{big}) = 0", f"W(r-{big}) = 0", f"W({big}) = 0", f"W(r)^{big} = 0"):
         with pytest.raises(ParseError, match="too long"):
             parse(text)
+
+
+# ---------------------------------------------------------------------------
+# compact factor tokens against the spaced-token parser (reference.parse)
+
+
+def _outcome(parser, text):
+    """The AST, or the ParseError's message and position."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+def _same_as_reference(text):
+    assert _outcome(parse, text) == _outcome(reference.parse, text)
+
+
+_DIGITS = st.sampled_from(
+    ["0", "1", "3", "63", "64", "007", "00", "12", "999"]
+    + ["123456789012345678", "1234567890123456789", "9" * 4301]
+)
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", " # ( W(r) =\n"])
+
+
+@st.composite
+def _factor_text(draw):
+    """A sequence factor: every index form, offsets 0, +-63, +-64, leading
+    zeros and 18-, 19- and 4301-digit literals, written compact or spaced,
+    with exponents ^0, ^1 and longer."""
+    index = draw(st.sampled_from([[], ["r"], ["s"], ["r", "+", "s"], ["s", "+", "r"]]))
+    offset = [draw(st.sampled_from(["+", "-"] if index else ["", "+", "-"])), draw(_DIGITS)]
+    if index and draw(_COUNT) < 3:
+        offset = []
+    pieces = [draw(st.sampled_from(SYMBOLS)), "(", *index, *offset, ")"]
+    text = "".join(p + draw(_SPACE) for p in pieces if p)
+    powers = ["", "", "^0", "^1", "^2", "^3", "^12345678901234567890", "^" + "7" * 4301]
+    power = draw(st.sampled_from(powers))
+    return text.rstrip() + power
+
+
+@st.composite
+def _mixed_term(draw, depth=0):
+    parts = []
+    if draw(_COUNT) % 3 == 0:
+        parts.append(draw(st.sampled_from(["2", "1000", "123456789", "0", "9" * 4301])))
+    for _ in range(1 + draw(_COUNT) % 3):
+        if depth < 2 and draw(_COUNT) == 0:
+            parts.append(f"({draw(_mixed_expr(depth + 1))}){draw(st.sampled_from(['', '^2']))}")
+        elif draw(_COUNT) == 0:  # integers of 4 or more digits in mid-product
+            parts.append(draw(st.sampled_from(["1000", "98765", "7"])))
+        else:
+            parts.append(draw(_factor_text()))
+    return "".join(part + draw(_TIMES) for part in parts[:-1]) + parts[-1]
+
+
+@st.composite
+def _mixed_expr(draw, depth=0):
+    out = draw(_SIGN) + draw(_mixed_term(depth))
+    for _ in range(draw(_COUNT) % 3):
+        out += draw(_WS) + draw(_PLUS_MINUS) + draw(_WS) + draw(_mixed_term(depth))
+    return out
+
+
+def _nested(k, text):
+    return "(" * k + text + ")" * k
+
+
+@st.composite
+def _mixed_identity(draw):
+    """Identities mixing compact and spaced factors, sometimes nested at
+    MAX_DEPTH - 1 or MAX_DEPTH parentheses, sometimes cut short."""
+    lhs = draw(_mixed_expr())
+    if draw(_COUNT) == 0:
+        lhs = _nested(MAX_DEPTH - draw(st.sampled_from([0, 1])), draw(_factor_text()))
+    text = f"{lhs}{draw(_WS)}={draw(_mixed_expr())}{draw(_WS)}"
+    if draw(_COUNT) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+#: Tokens of both kinds in any order, for the error paths: a compact factor
+#: where an index, "(", "=" or an exponent is expected.
+_SOUP = st.lists(
+    st.sampled_from(
+        ["W(r)", "T(s+r-5)", "K(-5)", "W(r+007)", "T(+5)", "W(r+s)", "K(1234567890123456789)"]
+        + ["W", "T", "K", "r", "s", "q", "(", ")", "+", "-", "*", "^", "=", "2", "1000"]
+        + [" ", "#c\n", "$"]
+    ),
+    max_size=14,
+).map("".join)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(_mixed_identity(), _SOUP))
+def test_parse_agrees_with_the_spaced_token_parser(text):
+    _same_as_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "W(r+007) = W(r-0) + W(s+r) + W(+5) + W(-5) + W(r+63)*W(r-64)",
+        "2*W(r)*1000 + 2W(r)W(s)T(r+s)^1 = 0",
+        f"W(r+{'1' * 18}) = W(r-{'1' * 19})",
+        f"W(r+{'1' * 4301}) = 0",
+        "W(W(r)) = 0",
+        "W(r T(s)) = 0",
+        "WW(r) = 0",
+        "W(r)^W(s) = 0",
+        "W(r+T(s)) = 0",
+        _nested(MAX_DEPTH - 1, "W(r-3)") + " = 0",
+        _nested(MAX_DEPTH, "W(r-3)") + " = 0",
+        _nested(MAX_DEPTH, "W ( r - 3 )") + " = 0",
+        " + ".join(["W(r)"] * (2 * MAX_DEPTH)) + " = " + _nested(MAX_DEPTH - 1, "T(s)"),
+    ],
+)
+def test_compact_factor_edge_cases_agree(text):
+    _same_as_reference(text)
+
+
+def test_workload_texts_parse_as_with_the_spaced_token_parser():
+    texts = []
+    for entry in load_corpus():
+        texts.append(entry.text)
+        texts += [render(m) for m in single_coefficient_mutants(parse(entry.text))]
+    for derive in (derive_tribonacci_basis, derive_lucas_basis):
+        for offsets in combinations(range(-12, 13), 3):
+            try:
+                t = derive(*offsets)
+            except DegenerateOffsets:
+                continue
+            texts += [render(template_to_ast(t)), render(swap_roles(t))]
+    assert len(texts) > 9000
+    for text in texts:
+        assert parse(text) == reference.parse(text), text
+
+
+def test_factor_table_stays_within_its_bound():
+    spellings = [
+        f"{sym}({index})"
+        for sym in SYMBOLS
+        for base in ("r", "s", "r+s", "s+r")
+        for index in [f"{base}+{k:03d}" for k in range(64)]
+        + [f"{base}{k:+d}" for k in (*range(-400, -63), *range(64, 400))]
+        + [f"{base}-0"]
+    ]
+    spellings += [f"{sym}({k:+d})" for sym in SYMBOLS for k in range(-300, 300)]
+    assert len(spellings) > 10_000
+    for text in spellings:
+        parse(f"{text} = 0")
+    assert len(dsl._FACTORS) <= 3 * 4 * 127
+    for tok, factor in dsl._FACTORS.items():
+        assert -64 < factor[2] < 64
+        mono = ((factor, 1),)
+        assert render(IdentityAst(((mono, 1),), ())) == f"{tok} = 0"
