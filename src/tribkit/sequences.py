@@ -129,9 +129,10 @@ def square_and_shift(c0: int, c1: int, c2: int, bits: str, forward: bool) -> tup
     return c0, c1, c2
 
 
-#: Operand size in bits above which ``_square`` splits into Toom-4 limbs.
-#: One Toom-4 level over CPython's Karatsuba squaring broke even at about
-#: 24,000 bits and won 2-4 % from 26,000 bits (2 vCPUs, Python 3.11.7).
+#: Operand size in bits above which ``_square`` splits into Toom-4 limbs
+#: and ``_squares`` shares a batch with its worker.  One Toom-4 level over
+#: CPython's Karatsuba squaring broke even at about 24,000 bits and won
+#: 2-4 % from 26,000 bits (2 vCPUs, Python 3.11.7).
 _TOOM4_BITS = 26_000
 
 
@@ -144,8 +145,8 @@ def _square(x: int) -> int:
     at t = 1, -1, 2, -2, 3, each by a recursive call (Bodrato & Zanoni,
     "Integer and polynomial multiplication: towards optimal Toom-Cook
     matrices", ISSAC 2007).  ``_toom4_points`` evaluates and
-    ``_toom4_join`` interpolates, here and in ``_squares``, which squares
-    three of an odd batch's last operand's points in its worker.
+    ``_toom4_join`` interpolates, here and in ``_squares``, whose worker
+    squares three of a batch's last operand's points.
 
     Each point or square is about |x| / 4 or |x| / 2 bits, so each point is
     dropped as soon as it is squared and each square as soon as the join
@@ -211,13 +212,6 @@ def _toom4_join(k: int, squares) -> int:
     return out
 
 
-#: Largest operand size in bits that ``_squares`` squares all by itself.
-#: Back to back, splitting ``fasteval.fast_term``'s finish won from about
-#: 11,400 bits.  A worker that has idled pays 40-140 us to wake, and a
-#: three-square batch after 5 ms idle won only from about 20,000 bits
-#: (277 against 332 us, best of 40; 2 shared vCPUs, Python 3.11.7).
-_SPLIT_BITS = 20_000
-
 #: (pid, request writer, reply reader) of the squaring worker, or None.
 _worker = None
 _worker_lock = threading.Lock()
@@ -229,47 +223,33 @@ def _squares(xs: tuple[int, ...]) -> list[int]:
 
     One size test per batch: both callers put an operand within a few bits
     of their largest first, so only xs[0] is measured.  Once it has more
-    than ``_SPLIT_BITS`` bits and a worker is usable (``_can_fork``), one
-    long-lived forked child squares the last len(xs) // 2 operands with
-    ``_square`` while this process squares the rest; the values are the
-    same either way.  A batch that would leave the worker nothing, one
-    operand of at most ``_TOOM4_BITS`` bits, is squared here with no round
-    trip.
-
-    An odd batch whose last operand has more than ``_TOOM4_BITS`` bits
-    shares that operand's seven Toom-4 points (``_toom4_points``) too.  The
-    worker squares the three that ``_toom4_join`` draws last and answers
-    them, then squares its len(xs) // 2 operands and answers those.  This
-    process squares the other four points, reads the worker's three as the
-    join draws them, joins, then squares its own len(xs) // 2 operands.
-    Both of fast_term's batches are odd, so whole operands alone would
-    leave this process three of the kernel's five and two of the finish's
-    three, and one CPU idle for a third to a half of every big batch.  The
-    join comes before this process's operands so that the worker's first
-    answer is read as soon as it is due: at 440,000 bits its three squares
-    are about 80 KB, more than a Linux pipe holds, and a worker that
-    answered while this process still squared its operands would stall
-    until they were read (a five-operand batch took 62 ms, not 37).
-    fast_term(T, n) went 43.95 -> 40.02 ms at n = 10^6, 8.01 -> 7.23 ms at
-    3*10^5 and 1.605 -> 1.529 ms at 10^5; at 3*10^4, below the split, 0.348
-    -> 0.350 ms (best of 15-600 calls, median of 8 alternating processes;
-    2 shared vCPUs, Python 3.11.7).
+    than ``_TOOM4_BITS`` bits and a worker is usable (``_can_fork``), one
+    long-lived forked child shares the batch, in one shape.  With half =
+    len(xs) // 2, the worker squares the three Toom-4 points of the last
+    operand that ``_toom4_join`` draws last (``_toom4_points``) and answers
+    them, then squares xs[half:-1] and answers those.  This process squares
+    the other four points, reads the worker's three as the join draws
+    them, joins, then squares xs[:half], so each CPU squares about half of
+    fast_term's batches of three and five.  The values are the same either
+    way, for any batch: xs[:half], xs[half:-1] and the last operand are the
+    whole of it, and a small or zero last operand still has seven points.
+    The join comes before this process's operands so that the worker's
+    first answer is read as soon as it is due: at 440,000 bits its three
+    squares are about 80 KB, more than a Linux pipe holds, and a worker
+    that answered while this process still squared its operands would
+    stall until they were read.
 
     The worker is forked on first use and reads ``pickle`` frames from one
-    pipe and answers on another: one request frame per batch, holding one
-    group of operands or the points and the operands, and one reply frame
-    per group.  A thread that finds the worker busy squares its batch
-    itself.  Any exception between the request and the last reply discards
-    the worker, so no later batch can read a stale reply; a broken pipe, a
-    dead worker or a reply cut off mid-frame is answered by squaring the
-    batch here, anything else is raised.
+    pipe and answers on another: one request frame per batch, holding the
+    points and the operands, and one reply frame per group.  A thread that
+    finds the worker busy squares its batch itself.  Any exception between
+    the request and the last reply discards the worker, so no later batch
+    can read a stale reply; a broken pipe, a dead worker or a reply cut off
+    mid-frame is answered by squaring the batch here, anything else is
+    raised.
     """
     global _worker
-    if (
-        xs[0].bit_length() > _SPLIT_BITS
-        and (len(xs) > 1 or xs[0].bit_length() > _TOOM4_BITS)
-        and _worker_lock.acquire(False)
-    ):
+    if xs[0].bit_length() > _TOOM4_BITS and _worker_lock.acquire(False):
         try:
             import pickle  # only here: importing it costs 2-3 ms
 
@@ -278,20 +258,13 @@ def _squares(xs: tuple[int, ...]) -> list[int]:
             if _worker is not None:
                 _, requests, replies = _worker
                 half = len(xs) // 2
-                if len(xs) % 2 and xs[-1].bit_length() > _TOOM4_BITS:
-                    # the worker squares the three points the join draws
-                    # last, answers them, then squares its operands
-                    k, points = _toom4_points(xs[-1])
-                    mine, theirs = xs[:half], (points[4:], xs[half:-1])
-                    del points[4:]
-                else:
-                    mine, theirs, points = xs[: len(xs) - half], (xs[len(xs) - half :],), None
+                k, points = _toom4_points(xs[-1])
+                theirs = (points[4:], xs[half:-1])
+                del points[4:]
                 try:
                     pickle.dump(theirs, requests, pickle.HIGHEST_PROTOCOL)
                     requests.flush()
                     del theirs
-                    if points is None:
-                        return [_square(x) for x in mine] + pickle.load(replies)
 
                     def point_squares():
                         # four points squared here, then the worker's three
@@ -305,7 +278,7 @@ def _squares(xs: tuple[int, ...]) -> list[int]:
                     # first reply is read as soon as it is due, not left to
                     # fill the pipe and stall the worker
                     last = _toom4_join(k, point_squares())
-                    return [_square(x) for x in mine] + pickle.load(replies) + [last]
+                    return [_square(x) for x in xs[:half]] + pickle.load(replies) + [last]
                 except (EOFError, OSError, pickle.UnpicklingError):
                     # the worker died, its pipe broke or its reply was cut off
                     _discard_worker()

@@ -446,6 +446,7 @@ def _mixed_identity(draw):
 _SOUP = st.lists(
     st.sampled_from(
         ["W(r)", "T(s+r-5)", "K(-5)", "W(r+007)", "T(+5)", "W(r+s)", "K(1234567890123456789)"]
+        + ["W(r+123456789012345678)", "T(s+r-1234)"]
         + ["W", "T", "K", "r", "s", "q", "(", ")", "+", "-", "*", "^", "=", "2", "1000"]
         + [" ", "#c\n", "$"]
     ),

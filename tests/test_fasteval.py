@@ -24,7 +24,7 @@ from tribkit import (
 import tribkit
 from tribkit import fasteval, sequences
 from tribkit.fasteval import digit_count, mul_count, reset_mul_count, term_bits
-from tribkit.sequences import _SPLIT_BITS, _TOOM4_BITS
+from tribkit.sequences import _TOOM4_BITS
 
 from reference import term_mod
 from table1 import K_TABLE, T_TABLE
@@ -140,7 +140,8 @@ def test_zero_seed_and_negative_indices():
             assert fast_term(seed, n) == term(seed, n)
 
 
-# at 70,001, -140,001 and -(10^5 + 1) only the finish's squares pass the split
+# at 70,001 and -140,001 only the finish's squares pass _TOOM4_BITS and are
+# shared; at -(10^5 + 1) no batch is, and the worker is never forked
 @pytest.mark.parametrize("n", [70_001, -140_001, 10**5 + 1, -(10**5 + 1), 10**6, -(10**6)])
 def test_worker_changes_no_value_or_count(monkeypatch, n):
     seed = SeedVector(10**30 - 7, -(10**30) + 3, 10**30 + 11)
@@ -150,7 +151,7 @@ def test_worker_changes_no_value_or_count(monkeypatch, n):
         sequences._discard_worker()
         reset_mul_count()
         results[mode] = (fast_term(TRIBONACCI, n), fast_term(seed, n), mul_count())
-        assert (sequences._worker is not None) == (mode == "worker")
+        assert (sequences._worker is not None) == (mode == "worker" and n != -(10**5 + 1))
         results[mode] += basis_decomposition(n)
     sequences._discard_worker()
     assert results["worker"] == results["local"]
@@ -180,7 +181,7 @@ def test_each_batch_past_the_split_sends_one_request(monkeypatch):
         return dump(obj, *args)
 
     monkeypatch.setattr(pickle, "dump", recorded_dump)
-    for n in (10**6, -(10**6), 10**5 + 1, 70_001, 40_001):
+    for n in (10**6, -(10**6), 10**5 + 1, 70_001, 50_000, 40_001):
         batches.clear()
         requests.clear()
         fast_term(TRIBONACCI, n)
@@ -188,35 +189,26 @@ def test_each_batch_past_the_split_sends_one_request(monkeypatch):
         # five squares per bit of |n // 2|, then the finish's three
         assert [k for k, _, _, _ in batches] == [5] * abs(n // 2).bit_length() + [3]
         # the first operand alone decides, and it is near enough the largest
-        # that deciding by the largest would split the same batches; the
-        # worker gets the last k // 2 operands, and first three Toom-4 points
-        # of an odd batch's last operand once that is past _TOOM4_BITS
-        assert requests == [
-            (3, k // 2) if k % 2 and last > _TOOM4_BITS else (k // 2,)
-            for k, first, _, last in batches
-            if first > _SPLIT_BITS
+        # that deciding by the largest would share the same batches; the
+        # worker gets three Toom-4 points of the last operand and the
+        # (k - 1) // 2 operands before it
+        assert requests == [(3, (k - 1) // 2) for k, first, _, _ in batches if first > _TOOM4_BITS]
+        assert [first > _TOOM4_BITS for _, first, _, _ in batches] == [
+            top > _TOOM4_BITS for _, _, top, _ in batches
         ]
-        assert [first > _SPLIT_BITS for _, first, _, _ in batches] == [
-            top > _SPLIT_BITS for _, _, top, _ in batches
-        ]
-        assert bool(requests) == (n != 40_001)
-        if abs(n) == 10**6:  # the kernel's last steps and the finish share points
+        # at 50,000 the finish's operands have 20,001-26,000 bits: not shared
+        assert bool(requests) == (n not in (50_000, 40_001))
+        if abs(n) == 10**6:  # the kernel's last steps and the finish
             assert requests[-2:] == [(3, 2), (3, 1)]
-    big, small, toom = 1 << _SPLIT_BITS, 3, 1 << _TOOM4_BITS
+    small, toom = 3, 1 << _TOOM4_BITS
     requests.clear()
-    assert sequences._squares((small, big)) == [small * small, big * big]
-    assert requests == []
-    assert sequences._squares((big, small)) == [big * big, small * small]
-    assert requests == [(1,)]
-    # a lone operand past the split leaves the worker nothing until it is
-    # past _TOOM4_BITS, and then three of its seven points
-    requests.clear()
-    assert sequences._squares((big,)) == [big * big]
+    assert sequences._squares((small, toom)) == [small * small, toom * toom]
     assert sequences._squares((toom - 1,)) == [(toom - 1) ** 2]
     assert requests == []
     assert sequences._squares((toom,)) == [toom * toom]
+    assert sequences._squares((toom, small)) == [toom * toom, small * small]
     assert sequences._squares((toom, small, -toom)) == [toom * toom, small * small, toom * toom]
-    assert requests == [(3, 0), (3, 1)]
+    assert requests == [(3, 0), (3, 0), (3, 1)]
     workers.add(sequences._worker[0])
     assert len(workers) == 1  # no reply failed and cost the worker
     sequences._discard_worker()

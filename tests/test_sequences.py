@@ -18,7 +18,7 @@ from tribkit import (
     term_range,
 )
 from tribkit import sequences
-from tribkit.sequences import _SPLIT_BITS, _TOOM4_BITS, _square, _squares, square_and_shift
+from tribkit.sequences import _TOOM4_BITS, _square, _squares, square_and_shift
 
 from table1 import K_TABLE, T_TABLE
 
@@ -155,7 +155,7 @@ def test_toom4_square_matches_product(x):
 
 @pytest.fixture(params=["worker", "local"])
 def worker_mode(request, monkeypatch):
-    """A batch past the split goes to a worker (forked even on one CPU), or
+    """A batch past _TOOM4_BITS goes to a worker (forked even on one CPU), or
     is squared here; each test starts and ends without a worker."""
     monkeypatch.setattr(sequences, "_can_fork", lambda: request.param == "worker")
     sequences._discard_worker()
@@ -178,8 +178,8 @@ def _operands(rng, count, bits, last=None):
 
 
 def _toom_batch(rng, count):
-    """An odd batch past the split whose last operand is past _TOOM4_BITS:
-    three of that operand's seven Toom-4 points go to the worker."""
+    """A batch past _TOOM4_BITS whose last operand is past it too: three of
+    that operand's seven Toom-4 points go to the worker."""
     bits = _TOOM4_BITS + 1000
     return _operands(rng, count, bits, -_full(rng, bits))
 
@@ -209,22 +209,60 @@ def test_odd_batch_shares_its_last_operands_points(worker_mode, count, shape):
     assert (sequences._worker is not None) == (worker_mode == "worker" and not idle)
 
 
-@pytest.mark.parametrize("bits", [_SPLIT_BITS - 1, _SPLIT_BITS, _SPLIT_BITS + 1, 40 * _SPLIT_BITS])
+# last operands of a batch past _TOOM4_BITS: one that Toom-4 would not split
+# still has seven points to share
+_SHARED_LASTS = {
+    "0": lambda rng: 0,
+    "1": lambda rng: 1,
+    "-1": lambda rng: -1,
+    "7": lambda rng: 7,
+    "toom4_bits-1": lambda rng: -_full(rng, _TOOM4_BITS - 1),
+    "toom4_bits+1": lambda rng: _full(rng, _TOOM4_BITS + 1),
+}
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+@pytest.mark.parametrize("last", sorted(_SHARED_LASTS))
+def test_every_batch_past_the_threshold_sends_one_request(monkeypatch, count, last):
+    monkeypatch.setattr(sequences, "_can_fork", lambda: True)
+    sequences._discard_worker()
+    rng = random.Random(f"{last}{count}")
+    xs = _operands(rng, count, _TOOM4_BITS + 1, _SHARED_LASTS[last](rng))
+    here, dump, requests = os.getpid(), pickle.dump, []
+
+    def recorded_dump(obj, *args):
+        if os.getpid() == here:  # not the worker's replies
+            requests.append(tuple(map(len, obj)))
+        return dump(obj, *args)
+
+    monkeypatch.setattr(pickle, "dump", recorded_dump)
+    assert _squares(xs) == [x * x for x in xs]
+    # three points of the last operand and the (count - 1) // 2 before it
+    assert requests == [(3, (count - 1) // 2)]
+    assert sequences._worker is not None  # no reply failed
+    sequences._discard_worker()
+
+
+# either side of 20,000 bits and of _TOOM4_BITS: only past the latter is a
+# batch shared
+@pytest.mark.parametrize(
+    "bits", [19_999, 20_000, 20_001, _TOOM4_BITS - 1, _TOOM4_BITS, _TOOM4_BITS + 1, 800_000]
+)
 def test_squares_batch_matches_products(worker_mode, bits):
     rng = random.Random(bits)
     for count in (1, 2, 3, 5):
         xs = _operands(rng, count, bits)
         assert _squares(xs) == [x * x for x in xs]
     assert _squares((0, -(1 << bits - 1), -1)) == [0, 1 << 2 * bits - 2, 1]
-    # the worker exists exactly when a batch passed the split with it on
-    split = worker_mode == "worker" and bits > _SPLIT_BITS
-    assert (sequences._worker is not None) == split
+    # the worker exists exactly when a batch passed _TOOM4_BITS with it on
+    shared = worker_mode == "worker" and bits > _TOOM4_BITS
+    assert (sequences._worker is not None) == shared
 
 
 def _failure_batches(rng):
-    """Each failure test runs on a batch of whole operands and on one whose
-    last operand's Toom-4 points are shared."""
-    return _operands(rng, 5, _SPLIT_BITS + 1000), _toom_batch(rng, 5)
+    """Each failure test runs on a batch past _TOOM4_BITS whose last operand
+    may be small and on one whose last operand is past it too."""
+    return _operands(rng, 5, _TOOM4_BITS + 1000), _toom_batch(rng, 5)
 
 
 def test_exception_between_request_and_reply_discards_the_worker(worker_mode, monkeypatch):
@@ -304,8 +342,8 @@ def test_dead_worker_is_replaced_by_local_squares(worker_mode):
 def test_reply_cut_off_mid_frame_is_squared_here(monkeypatch):
     def fork_half_replying_worker():
         """A worker that answers its first request's last group of operands
-        with half a frame and exits: the only reply of a batch of whole
-        operands, the second one of a batch that shares Toom-4 points."""
+        with half a frame and exits: the second reply, after the point
+        squares."""
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
         pid = os.fork()
@@ -334,7 +372,7 @@ def test_reply_cut_off_mid_frame_is_squared_here(monkeypatch):
 def test_threads_share_the_worker_without_mixing_replies(monkeypatch):
     monkeypatch.setattr(sequences, "_can_fork", lambda: True)
     rng = random.Random(7)
-    batches = [_operands(rng, 5, _SPLIT_BITS + 1 + 97 * i) for i in range(6)]
+    batches = [_operands(rng, 5, _TOOM4_BITS + 1 + 97 * i) for i in range(6)]
     batches += [_toom_batch(rng, count) for count in (1, 3, 5)]
     _squares(batches[0])  # fork the worker while this is the only thread
     wrong = []
